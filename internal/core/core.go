@@ -41,6 +41,11 @@ type Options struct {
 	// concurrent discoveries; the framework passes its source-level pool
 	// here so both levels of parallelism draw on one budget.
 	WorkerPool *hierarchy.Pool
+	// Scratch is the lattice builder's reusable working state; the
+	// framework passes each worker's own, so the thousands of per-source
+	// builds of one run share a few scratches. nil gives every build a
+	// private one.
+	Scratch *hierarchy.Scratch
 	// Ablation switches (see DESIGN.md §4).
 	DisableCanonicalPrune bool
 	DisableProfitPrune    bool
@@ -115,6 +120,7 @@ func DiscoverSeededContext(ctx context.Context, table *fact.Table, seeds []hiera
 		DisableProfitPrune:    opts.DisableProfitPrune,
 		Options:               hierarchy.Options{Workers: opts.Workers, Pool: opts.WorkerPool},
 		Obs:                   opts.Obs,
+		Scratch:               opts.Scratch,
 	}
 	h := b.Build(seeds)
 	buildSpan.Arg("nodes", strconv.Itoa(h.Stats.NodesCreated)).

@@ -20,7 +20,6 @@ package framework
 
 import (
 	"context"
-	"fmt"
 	"runtime"
 	"sort"
 	"strconv"
@@ -172,8 +171,10 @@ func (o Options) workers() int {
 // detectFunc is the internal detection entry point: a Detector plus the
 // context that carries the current span, so the default MIDASalg path
 // can parent its hierarchy-build and traversal spans to the source's
-// shard span. Custom Detectors keep the public two-argument signature.
-type detectFunc func(ctx context.Context, table *fact.Table, seeds []hierarchy.Seed) []*slice.Slice
+// shard span, and the calling worker's lattice scratch, which the
+// default path hands to the hierarchy builder. Custom Detectors keep the
+// public two-argument signature.
+type detectFunc func(ctx context.Context, table *fact.Table, seeds []hierarchy.Seed, scratch *hierarchy.Scratch) []*slice.Slice
 
 // detector builds the detection entry point. pool is the run's shared
 // worker budget: the default MIDASalg detector hands it to the lattice
@@ -181,7 +182,7 @@ type detectFunc func(ctx context.Context, table *fact.Table, seeds []hierarchy.S
 // fans out over tokens the source-level dispatch isn't using.
 func (o Options) detector(pool *hierarchy.Pool) detectFunc {
 	if o.Detect != nil {
-		return func(_ context.Context, table *fact.Table, seeds []hierarchy.Seed) []*slice.Slice {
+		return func(_ context.Context, table *fact.Table, seeds []hierarchy.Seed, _ *hierarchy.Scratch) []*slice.Slice {
 			return o.Detect(table, seeds)
 		}
 	}
@@ -198,8 +199,10 @@ func (o Options) detector(pool *hierarchy.Pool) detectFunc {
 			copts.Workers = o.workers()
 		}
 	}
-	return func(ctx context.Context, table *fact.Table, seeds []hierarchy.Seed) []*slice.Slice {
-		return core.DiscoverSeededContext(ctx, table, seeds, copts).Slices
+	return func(ctx context.Context, table *fact.Table, seeds []hierarchy.Seed, scratch *hierarchy.Scratch) []*slice.Slice {
+		o := copts
+		o.Scratch = scratch
+		return core.DiscoverSeededContext(ctx, table, seeds, o).Slices
 	}
 }
 
@@ -304,6 +307,9 @@ func RunContext(ctx context.Context, corpus *fact.Corpus, existing *kb.KB, opts 
 	// — total concurrency never exceeds opts.Workers.
 	pool := hierarchy.NewPool(opts.workers())
 	detect := opts.detector(pool)
+	// One lattice scratch per worker slot, reused by every source that
+	// slot processes across all rounds, and dropped with the run.
+	scratches := make([]*hierarchy.Scratch, opts.workers())
 	cost := opts.cost()
 	// Discovery never mutates the KB: freeze it once so the worker pool
 	// probes membership lock-free instead of contending on its RWMutex.
@@ -389,10 +395,10 @@ func RunContext(ctx context.Context, corpus *fact.Corpus, existing *kb.KB, opts 
 		sort.Strings(batch)
 		out.Rounds++
 		roundStart := time.Now()
-		roundCtx, roundSpan := obs.StartSpan(ctx, fmt.Sprintf("framework/depth%02d", d))
+		roundCtx, roundSpan := obs.StartSpan(ctx, depthSpanName(d))
 		roundSpan.Arg("depth", strconv.Itoa(d)).Arg("sources", strconv.Itoa(len(batch)))
 
-		// Detect + consolidate each dirty shard on the worker pool;
+		// Detect + consolidate each dirty shard on a fixed worker set;
 		// fully-reusable shards are answered inline from the prior run
 		// (their cached surviving slices are proven still valid, so no
 		// detector invocation is needed). busyNs accumulates in-shard
@@ -400,10 +406,9 @@ func RunContext(ctx context.Context, corpus *fact.Corpus, existing *kb.KB, opts 
 		// yields the pool's utilization (1.0 = every worker busy the
 		// whole round; low values flag skew from one oversized shard).
 		results := make([]*item, len(batch))
+		plans := make([]reusePlan, len(batch))
+		dirty := make([]int, 0, len(batch))
 		reused := 0
-		var wg sync.WaitGroup
-		var busyNs atomic.Int64
-		shardTimer := reg.Timer("framework/shard")
 		for i, src := range batch {
 			plan := planReuse(opts.Prior, src, pending[src], leafFP(src), opts.Delta)
 			if plan.full {
@@ -417,19 +422,44 @@ func RunContext(ctx context.Context, corpus *fact.Corpus, existing *kb.KB, opts 
 				reused++
 				continue
 			}
+			plans[i] = plan
+			dirty = append(dirty, i)
+		}
+		// min(workers, dirty sources) long-lived workers pull the next
+		// shard from a shared cursor. Each holds a pool token only while
+		// a shard runs, so when fewer shards than workers remain, the
+		// idle tokens let the lattice build fan out (hierarchy.Pool).
+		// Results stay index-addressed: the output order is the batch
+		// order, whatever the scheduling.
+		var wg sync.WaitGroup
+		var cursor atomic.Int64
+		var busyNs atomic.Int64
+		shardTimer := reg.Timer("framework/shard")
+		for w := range min(len(scratches), len(dirty)) {
+			if scratches[w] == nil {
+				scratches[w] = new(hierarchy.Scratch)
+			}
 			wg.Add(1)
-			go func(i int, src string, plan reusePlan) {
+			go func(scratch *hierarchy.Scratch) {
 				defer wg.Done()
-				pool.Acquire()
-				defer pool.Release()
-				shardStart := time.Now()
-				srcCtx, srcSpan := obs.StartSpan(roundCtx, src)
-				results[i] = processSource(srcCtx, src, d, pending[src], plan, corpus.Space, member, detect, cost, reg)
-				srcSpan.Arg("surviving", strconv.Itoa(len(results[i].surviving))).End()
-				elapsed := time.Since(shardStart)
-				shardTimer.Observe(elapsed)
-				busyNs.Add(int64(elapsed))
-			}(i, src, plan)
+				for {
+					k := int(cursor.Add(1)) - 1
+					if k >= len(dirty) {
+						return
+					}
+					i := dirty[k]
+					src := batch[i]
+					pool.Acquire()
+					shardStart := time.Now()
+					srcCtx, srcSpan := obs.StartSpan(roundCtx, src)
+					results[i] = processSource(srcCtx, src, d, pending[src], plans[i], corpus.Space, member, detect, scratch, cost, reg)
+					srcSpan.Arg("surviving", strconv.Itoa(len(results[i].surviving))).End()
+					elapsed := time.Since(shardStart)
+					pool.Release()
+					shardTimer.Observe(elapsed)
+					busyNs.Add(int64(elapsed))
+				}
+			}(scratches[w])
 		}
 		wg.Wait()
 		roundSpan.Arg("reused", strconv.Itoa(reused)).End()
@@ -453,8 +483,8 @@ func RunContext(ctx context.Context, corpus *fact.Corpus, existing *kb.KB, opts 
 		reg.Counter("framework/sources_processed").Add(int64(processed))
 		reg.Counter("framework/sources_reused").Add(int64(reused))
 		reg.Timer("framework/round").Observe(roundWall)
-		reg.TimerVec("framework/depth", "depth").With(depthLabel(d)).Observe(roundWall)
-		reg.CounterVec("framework/depth_sources", "depth").With(depthLabel(d)).Add(int64(len(batch)))
+		reg.TimerVec("framework/depth", "depth").With(obs.IntLabel(d)).Observe(roundWall)
+		reg.CounterVec("framework/depth_sources", "depth").With(obs.IntLabel(d)).Add(int64(len(batch)))
 		reg.Histogram("framework/round_sources").Observe(float64(len(batch)))
 		reg.Histogram("framework/round_slices").Observe(float64(surviving))
 		if wall := roundWall.Seconds(); wall > 0 && processed > 0 {
@@ -499,7 +529,7 @@ func RunContext(ctx context.Context, corpus *fact.Corpus, existing *kb.KB, opts 
 // reuse plan with a clean table skips the build/merge (re-annotating
 // the newness bits first if absorbed triples touched the table); the
 // detector still runs, because a child's surviving slices changed.
-func processSource(ctx context.Context, src string, depth int, pe *pendingEntry, plan reusePlan, space *kb.Space, existing kb.Membership, detect detectFunc, cost slice.CostModel, reg *obs.Registry) *item {
+func processSource(ctx context.Context, src string, depth int, pe *pendingEntry, plan reusePlan, space *kb.Space, existing kb.Membership, detect detectFunc, scratch *hierarchy.Scratch, cost slice.CostModel, reg *obs.Registry) *item {
 	// Assemble the fact table at this granularity.
 	_, tableSpan := obs.StartSpan(ctx, "table/build")
 	var table *fact.Table
@@ -554,7 +584,7 @@ func processSource(ctx context.Context, src string, depth int, pe *pendingEntry,
 	}
 
 	detectCtx, detectSpan := obs.StartSpan(ctx, "detect")
-	detected := detect(detectCtx, table, seeds)
+	detected := detect(detectCtx, table, seeds, scratch)
 	detectSpan.Arg("slices", strconv.Itoa(len(detected))).End()
 	parents := make([]scored, len(detected))
 	for i, sl := range detected {
@@ -579,7 +609,7 @@ func processSource(ctx context.Context, src string, depth int, pe *pendingEntry,
 // where in the URL hierarchy consolidation is deciding each way.
 func consolidate(parents, children []scored, depth int, cost slice.CostModel, existing kb.Membership, reg *obs.Registry) []scored {
 	tally := reg.CounterVec("framework/consolidate", "decision", "depth")
-	dl := depthLabel(depth)
+	dl := obs.IntLabel(depth)
 	if len(children) == 0 {
 		tally.With("parents_kept", dl).Add(int64(len(parents)))
 		return parents
@@ -632,9 +662,23 @@ func consolidate(parents, children []scored, depth int, cost slice.CostModel, ex
 	return surviving
 }
 
-// depthLabel renders a hierarchy depth as a fixed-width label value so
-// lexical series order matches numeric depth order.
-func depthLabel(d int) string { return fmt.Sprintf("%02d", d) }
+// depthSpanNames holds the round span names of hierarchy depths 0–99,
+// rendered once so that starting a round's span never formats or
+// allocates.
+var depthSpanNames = func() (t [100]string) {
+	for d := range t {
+		t[d] = "framework/depth" + obs.IntLabel(d)
+	}
+	return t
+}()
+
+// depthSpanName names the span of the round processing depth d.
+func depthSpanName(d int) string {
+	if d >= 0 && d < len(depthSpanNames) {
+		return depthSpanNames[d]
+	}
+	return "framework/depth" + obs.IntLabel(d)
+}
 
 // childSetProfit computes f over the indexed child slices, with exact
 // fact-union statistics and the crawl term charged once per distinct

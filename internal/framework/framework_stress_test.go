@@ -4,12 +4,15 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"sync/atomic"
 	"testing"
 
 	"midas/internal/fact"
 	"midas/internal/framework"
+	"midas/internal/hierarchy"
 	"midas/internal/kb"
 	"midas/internal/obs"
+	"midas/internal/slice"
 )
 
 // stressCorpus synthesizes a corpus spread over many sources at several
@@ -118,5 +121,32 @@ func TestStressManySourcesOversubscribed(t *testing.T) {
 			t.Errorf("slice %d differs: parallel %s %.4f (%d/%d) vs serial %s %.4f (%d/%d)",
 				i, a.Source, a.Profit, a.Facts, a.NewFacts, b.Source, b.Profit, b.Facts, b.NewFacts)
 		}
+	}
+}
+
+// TestWorkerSetBoundsGoroutines pins the fixed worker set: a round of
+// 1,000 dirty sources runs on at most Workers goroutines, not one
+// goroutine per source parked on the token pool. The custom detector
+// samples the goroutine count while the round is in flight.
+func TestWorkerSetBoundsGoroutines(t *testing.T) {
+	corpus, existing := stressCorpus(2, 2, 10, 50, 1) // 1,000 pages at depth 3
+	const workers = 4
+	var peak atomic.Int64
+	detect := func(table *fact.Table, seeds []hierarchy.Seed) []*slice.Slice {
+		n := int64(runtime.NumGoroutine())
+		for cur := peak.Load(); n > cur && !peak.CompareAndSwap(cur, n); cur = peak.Load() {
+		}
+		return nil
+	}
+	base := runtime.NumGoroutine()
+	out := framework.Run(corpus, existing, framework.Options{Workers: workers, Detect: detect, Obs: obs.New()})
+	if out.Levels[0].Sources < 1000 {
+		t.Fatalf("deepest round has %d sources, want at least 1000", out.Levels[0].Sources)
+	}
+	// A little slack for runtime goroutines (GC workers, finalizers)
+	// that may start during the run.
+	if limit := int64(base + workers + 4); peak.Load() > limit {
+		t.Errorf("peak goroutines %d during a %d-source round, want at most %d (baseline %d + %d workers + 4)",
+			peak.Load(), out.Levels[0].Sources, limit, base, workers)
 	}
 }

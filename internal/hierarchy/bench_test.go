@@ -3,16 +3,39 @@ package hierarchy_test
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"midas/internal/datagen"
+	"midas/internal/fact"
 	"midas/internal/hierarchy"
+	"midas/internal/obs"
 	"midas/internal/slice"
 )
 
+// leafTables builds the fact table of every leaf web source of w, in
+// source order, with newness against w's KB — the tables the framework's
+// deepest rounds hand to the detector.
+func leafTables(w *datagen.World) []*fact.Table {
+	bySource := fact.LeafSources(w.Corpus)
+	srcs := make([]string, 0, len(bySource))
+	for src := range bySource {
+		srcs = append(srcs, src)
+	}
+	slices.Sort(srcs)
+	member := w.KB.Frozen()
+	tables := make([]*fact.Table, len(srcs))
+	for i, src := range srcs {
+		tables[i] = fact.BuildWith(src, w.Corpus.Space, bySource[src].Triples, member)
+	}
+	return tables
+}
+
 // BenchmarkHierarchyBuild measures a full lattice construction — step 1
 // of MIDASalg. The small case is the historical single-threaded
-// baseline (union/subset kernels and node keying dominate); the large
+// baseline (union/subset kernels and node keying dominate); leaf-tables
+// is the multi-source framework's traffic, thousands of small builds
+// sharing one Scratch, where per-build set-up cost dominates; the large
 // case is the biggest source of the NELL-like datagen corpus — the
 // oversized single page that motivates within-source parallelism — run
 // across a worker sweep. Output is bit-identical across the sweep (see
@@ -27,6 +50,23 @@ func BenchmarkHierarchyBuild(b *testing.B) {
 			bld := &hierarchy.Builder{Table: small, Cost: cost, Options: hierarchy.Options{Workers: 1}}
 			bld.Build(nil)
 		}
+	})
+
+	// The framework's real traffic: one build per leaf web source of
+	// ReVerb-Slim — thousands of mostly tiny tables — run in turn on one
+	// reused Scratch, as a framework worker runs its sources.
+	leaves := leafTables(datagen.ReVerbSlim(datagen.DefaultSlimParams(7)))
+	b.Run("leaf-tables", func(b *testing.B) {
+		b.ReportAllocs()
+		reg := obs.New()
+		scratch := new(hierarchy.Scratch)
+		for i := 0; i < b.N; i++ {
+			for _, t := range leaves {
+				bld := &hierarchy.Builder{Table: t, Cost: cost, Options: hierarchy.Options{Workers: 1}, Obs: reg, Scratch: scratch}
+				bld.Build(nil)
+			}
+		}
+		b.ReportMetric(float64(len(leaves)), "builds/op")
 	})
 
 	large := worldTables(datagen.KnowledgeVaultSim(13), 1)[0]

@@ -25,9 +25,8 @@
 package hierarchy
 
 import (
-	"fmt"
+	"cmp"
 	"slices"
-	"sort"
 	"time"
 
 	"midas/internal/fact"
@@ -173,15 +172,19 @@ type Builder struct {
 	// tables); nil falls back to the process-wide obs.Default().
 	Obs *obs.Registry
 
+	// Scratch is the build's reusable working state. A caller running
+	// many builds in turn (a framework worker) passes the same Scratch to
+	// each; when nil, Build allocates one and keeps it here.
+	Scratch *Scratch
+
 	entFacts []int32 // per-entity fact counts
 	entNew   []int32 // per-entity new-fact counts
-	propFreq map[fact.Property]int32
 	// props interns node property sets; it is distinct from the table's
 	// interner because lattice nodes carry subsets no row has.
 	props *idset.Interner[fact.Property]
-	// union scratch buffers for worker 0, reused across finalize and
-	// setProfit calls; extra workers carry their own pair.
-	unionA, unionB []int32
+	// slab is the unused tail of the current node allocation chunk.
+	slab  []Node
+	stats *Stats
 }
 
 // Default caps. Entities in real extractions have a handful of
@@ -204,83 +207,61 @@ func (b *Builder) Build(extra []Seed) *Hierarchy {
 	if b.MaxInitCombos == 0 {
 		b.MaxInitCombos = DefaultMaxInitCombos
 	}
+	if b.Scratch == nil {
+		b.Scratch = new(Scratch)
+	}
+	s := b.Scratch
+	defer s.release()
 	b.prepare()
 
 	reg := b.Obs.OrDefault()
 	h := &Hierarchy{}
-	// levels[l] maps an interned property-set ID to its node.
-	levels := make([]map[idset.SetID]*Node, 1, 8)
-	// Per-level effort tallies, reported to Obs when the build finishes.
-	var createdByLevel, removedByLevel, invalidByLevel []int64
-	bump := func(tally *[]int64, l int, by int64) {
-		for len(*tally) <= l {
-			*tally = append(*tally, 0)
-		}
-		(*tally)[l] += by
-	}
+	b.stats = &h.Stats
+	defer b.record()
 
-	getLevel := func(l int) map[idset.SetID]*Node {
-		for len(levels) <= l {
-			levels = append(levels, make(map[idset.SetID]*Node))
-		}
-		return levels[l]
-	}
-	nodeByID := func(id idset.SetID) *Node {
-		// The node keeps the interned arena view of its property set,
-		// not any caller's (possibly scratch) slice.
-		props := b.props.Get(id)
-		m := getLevel(len(props))
-		n, ok := m[id]
-		if !ok {
-			h.Stats.NodesCreated++
-			bump(&createdByLevel, len(props), 1)
-			n = &Node{Props: props, set: id, Valid: true}
-			m[id] = n
-		}
-		return n
-	}
-	getNode := func(props []fact.Property) *Node {
-		return nodeByID(b.props.Intern(props))
-	}
-	defer func() { b.record(&h.Stats, createdByLevel, removedByLevel, invalidByLevel) }()
-
-	b.seedInitial(getNode, &h.Stats)
-	for _, s := range extra {
-		if len(s.Props) == 0 {
+	b.seedInitial()
+	for _, sd := range extra {
+		if len(sd.Props) == 0 {
 			continue
 		}
-		n := getNode(s.Props)
+		n := b.getNode(sd.Props)
 		n.Initial = true
-		n.pending = append(n.pending, s.Entities...)
+		n.pending = append(n.pending, sd.Entities...)
 	}
 
-	maxLevel := len(levels) - 1
-	for maxLevel > 0 && len(levels[maxLevel]) == 0 {
+	maxLevel := len(s.levels) - 1
+	for maxLevel > 0 && len(s.levels[maxLevel]) == 0 {
 		maxLevel--
 	}
-	if maxLevel == 0 {
+	if maxLevel <= 0 {
 		h.Levels = make([][]*Node, 1)
 		return h
 	}
+	h.MaxLevel = maxLevel
+	h.Levels = make([][]*Node, maxLevel+1)
 
 	levelTimer := reg.TimerVec("hierarchy/level/build", "level")
 	workersGauge := reg.Gauge("hierarchy/level_workers")
 
 	// Finalize the deepest level's entity sets.
-	b.finalizeLevel(collectNodes(levels[maxLevel]))
+	b.finalizeLevel(s.levels[maxLevel])
 
 	// Bottom-up sweep: levels from finest (most properties) to coarsest.
+	// Sweeping level l adds nodes only to coarser levels and removes
+	// nodes only from l, so l's list is complete when the sweep reaches
+	// it and final once it moves on.
 	for l := maxLevel; l >= 1; l-- {
 		levelStart := time.Now()
 		workers := 1
-		cur := sortedNodes(levels[l])
+		cur := s.levels[l]
+		slices.SortFunc(cur, compareNodes)
 
 		// (1) Construct parents from every node at level l, sharded
 		// across the worker budget, then finalize the entity sets the
 		// new pendings landed on.
 		if l >= 2 {
-			workers = max(workers, b.generateParents(cur, nodeByID))
-			workers = max(workers, b.finalizeLevel(collectNodes(levels[l-1])))
+			workers = max(workers, b.generateParents(cur))
+			workers = max(workers, b.finalizeLevel(s.levels[l-1]))
 		}
 
 		// (2) Prune non-canonical slices at level l. Sequential: remove
@@ -291,99 +272,111 @@ func (b *Builder) Build(extra []Seed) *Hierarchy {
 			if !n.Canonical && !b.DisableCanonicalPrune {
 				b.remove(n)
 				h.Stats.NodesRemoved++
-				bump(&removedByLevel, l, 1)
-				delete(levels[l], n.set)
+				s.removed = bump(s.removed, l, 1)
 			}
 		}
+		cur = slices.DeleteFunc(cur, func(n *Node) bool { return n.removed })
 
 		// (3) Evaluate profit and the lower bound; mark low-profit
 		// slices invalid. Children are deeper and immutable by now, so
 		// scoring shards across workers.
-		invalid, scoreWorkers := b.scoreLevel(sortedNodes(levels[l]))
+		invalid, scoreWorkers := b.scoreLevel(cur)
 		workers = max(workers, scoreWorkers)
 		if invalid > 0 {
 			h.Stats.NodesInvalid += int(invalid)
-			bump(&invalidByLevel, l, invalid)
+			s.invalid = bump(s.invalid, l, invalid)
 		}
+		h.Levels[l] = cur
 
-		levelTimer.With(levelLabel(l)).Observe(time.Since(levelStart))
+		levelTimer.With(obs.IntLabel(l)).Observe(time.Since(levelStart))
 		workersGauge.Set(float64(workers))
 	}
 
-	h.MaxLevel = maxLevel
-	h.Levels = make([][]*Node, maxLevel+1)
+	// The surviving levels are views of the scratch's level lists; copy
+	// them into one exact allocation the hierarchy owns.
+	total := 0
+	for _, lv := range h.Levels {
+		total += len(lv)
+	}
+	all := make([]*Node, total)
+	off := 0
 	for l := 1; l <= maxLevel; l++ {
-		h.Levels[l] = sortedNodes(levels[l])
+		n := copy(all[off:], h.Levels[l])
+		h.Levels[l] = all[off : off+n : off+n]
+		off += n
 	}
 	return h
 }
 
-// genOp records one parent link operation discovered by a worker: the
-// worker-local interned ID of the parent property set and the child
-// node. Replaying ops in recorded order during the merge reproduces the
-// sequential build's exact link order (Children and Parents slices
-// included), because chunks are contiguous and replayed in index order.
-type genOp struct {
-	id    idset.SetID
-	child *Node
+// nodeByID returns the node of interned property set id, creating it on
+// first sight.
+func (b *Builder) nodeByID(id idset.SetID) *Node {
+	s := b.Scratch
+	if int(id) >= len(s.nodes) {
+		s.nodes = append(s.nodes, make([]*Node, b.props.Len()-len(s.nodes))...)
+	}
+	if n := s.nodes[id]; n != nil {
+		return n
+	}
+	// The node keeps the interned arena view of its property set, not
+	// any caller's (possibly scratch) slice.
+	props := b.props.Get(id)
+	n := b.newNode()
+	n.Props, n.set, n.Valid = props, id, true
+	s.nodes[id] = n
+	lv := s.level(len(props))
+	*lv = append(*lv, n)
+	b.stats.NodesCreated++
+	s.created = bump(s.created, len(props), 1)
+	return n
 }
 
-// genLocal is one worker's private parent-generation scratch: a private
-// interner for the parent property sets it discovers, the link ops in
-// discovery order, and the pending entity rows grouped per local set.
-type genLocal struct {
-	in      *idset.Interner[fact.Property]
-	ops     []genOp
-	pending [][]int32
+// getNode returns the node over props, creating it on first sight.
+func (b *Builder) getNode(props []fact.Property) *Node {
+	return b.nodeByID(b.props.Intern(props))
 }
+
+// newNode hands out a zeroed node from the build's slab. Chunks double
+// with the node count (up to maxSlab), so a build makes a logarithmic
+// number of node allocations and the many one-node builds of leaf
+// sources waste nothing.
+func (b *Builder) newNode() *Node {
+	if len(b.slab) == 0 {
+		b.slab = make([]Node, min(max(b.stats.NodesCreated, 1), maxSlab))
+	}
+	n := &b.slab[0]
+	b.slab = b.slab[1:]
+	return n
+}
+
+// maxSlab caps a node slab chunk, in nodes.
+const maxSlab = 1024
 
 // generateParents runs step (1) of the sweep for one level: every node
 // contributes either the node over its shared-property core or its
 // drop-one-property subsets as parents (see emitParents). With one
-// worker it links directly into the shared maps; with several, workers
-// record into private scratch and a single-threaded merge rebases each
-// private interner onto the shared one (idset.Interner.Merge) and
-// replays the ops in order. Returns the worker count used.
-func (b *Builder) generateParents(cur []*Node, nodeByID func(idset.SetID) *Node) int {
-	link := func(p, c *Node) {
-		if !p.HasChild(c) {
-			addChild(p, c)
-			c.Parents = append(c.Parents, p)
-		}
-	}
+// worker it links directly into the build's nodes; with several,
+// workers record into private scratch and a single-threaded merge
+// rebases each private interner onto the shared one
+// (idset.Interner.Merge) and replays the ops in order. Returns the
+// worker count used.
+func (b *Builder) generateParents(cur []*Node) int {
 	ws := b.acquireWorkers(len(cur), genMinChunk)
 	if ws.n == 1 {
-		var scratch []fact.Property
-		ws.run(len(cur), func(_, lo, hi int) {
-			b.emitParents(cur, lo, hi, &scratch, func(props []fact.Property, n *Node) {
-				p := getNodeByProps(b, nodeByID, props)
-				link(p, n)
-				p.pending = append(p.pending, n.Entities.Values()...)
-			})
+		b.emitParents(cur, &b.Scratch.workers[0], func(props []fact.Property, n *Node) {
+			p := b.getNode(props)
+			link(p, n)
+			p.pending = append(p.pending, n.Entities.Values()...)
 		})
 		return 1
 	}
-
-	locals := make([]genLocal, ws.n)
-	ws.run(len(cur), func(w, lo, hi int) {
-		g := &locals[w]
-		g.in = idset.NewInterner[fact.Property]()
-		var scratch []fact.Property
-		b.emitParents(cur, lo, hi, &scratch, func(props []fact.Property, n *Node) {
-			id := g.in.Intern(props)
-			if int(id) == len(g.pending) {
-				g.pending = append(g.pending, nil)
-			}
-			g.ops = append(g.ops, genOp{id: id, child: n})
-			g.pending[id] = append(g.pending[id], n.Entities.Values()...)
-		})
-	})
+	ws.run(b, cur, (*Builder).recordParents)
 
 	// Deterministic merge, single-threaded: worker order × op order is
 	// the sequential order.
-	for w := range locals {
-		g := &locals[w]
-		if g.in == nil || g.in.Len() == 0 {
+	for w := range ws.n {
+		g := &b.Scratch.workers[w].gen
+		if g.in.Len() == 0 {
 			continue
 		}
 		remap := b.props.Merge(g.in)
@@ -391,7 +384,7 @@ func (b *Builder) generateParents(cur []*Node, nodeByID func(idset.SetID) *Node)
 		for _, op := range g.ops {
 			p := nodes[op.id]
 			if p == nil {
-				p = nodeByID(remap[op.id])
+				p = b.nodeByID(remap[op.id])
 				nodes[op.id] = p
 			}
 			link(p, op.child)
@@ -405,16 +398,33 @@ func (b *Builder) generateParents(cur []*Node, nodeByID func(idset.SetID) *Node)
 	return ws.n
 }
 
-// getNodeByProps fetches/creates the node for props through the shared
-// interner (sequential path of generateParents).
-func getNodeByProps(b *Builder, nodeByID func(idset.SetID) *Node, props []fact.Property) *Node {
-	return nodeByID(b.props.Intern(props))
+// recordParents is one parallel worker's share of generateParents: it
+// interns the parents of chunk into the worker's private interner and
+// records the link ops and pending rows for the merge.
+func (b *Builder) recordParents(w int, chunk []*Node) {
+	ws := &b.Scratch.workers[w]
+	g := &ws.gen
+	g.reset()
+	b.emitParents(chunk, ws, func(props []fact.Property, n *Node) {
+		id := g.in.Intern(props)
+		g.ops = append(g.ops, genOp{id: id, child: n})
+		pend := g.pendingFor(id)
+		*pend = append(*pend, n.Entities.Values()...)
+	})
 }
 
-// emitParents enumerates the parent candidates of cur[lo:hi] in
-// deterministic order. scratch backs the drop-one property sets and is
-// reused across nodes — interners copy sets on first sight, so it never
-// escapes.
+// link makes c a child of p unless it already is.
+func link(p, c *Node) {
+	if !p.HasChild(c) {
+		addChild(p, c)
+		c.Parents = append(c.Parents, p)
+	}
+}
+
+// emitParents enumerates the parent candidates of nodes in
+// deterministic order. The worker's props buffer backs the shared-core
+// and drop-one property sets and is reused across nodes — interners
+// copy sets on first sight, so it never escapes.
 //
 // A property held by a single entity can never occur in a multi-entity
 // canonical slice, so every subset mixing unique and shared properties
@@ -425,9 +435,9 @@ func getNodeByProps(b *Builder, nodeByID func(idset.SetID) *Node, props []fact.P
 // several levels up), which is exactly the structure the construct-
 // then-remove sequence converges to — without materializing the 2^k
 // mixed subsets of isolated entities.
-func (b *Builder) emitParents(cur []*Node, lo, hi int, scratch *[]fact.Property, emit func([]fact.Property, *Node)) {
-	for _, n := range cur[lo:hi] {
-		core := b.sharedCore(n.Props)
+func (b *Builder) emitParents(nodes []*Node, ws *workerScratch, emit func([]fact.Property, *Node)) {
+	for _, n := range nodes {
+		core := b.sharedCore(n.Props, &ws.props)
 		if len(core) < len(n.Props) {
 			if len(core) > 0 {
 				emit(core, n)
@@ -435,10 +445,10 @@ func (b *Builder) emitParents(cur []*Node, lo, hi int, scratch *[]fact.Property,
 			continue
 		}
 		for i := range n.Props {
-			s := append((*scratch)[:0], n.Props[:i]...)
-			s = append(s, n.Props[i+1:]...)
-			*scratch = s
-			emit(s, n)
+			p := append(ws.props[:0], n.Props[:i]...)
+			p = append(p, n.Props[i+1:]...)
+			ws.props = p
+			emit(p, n)
 		}
 	}
 }
@@ -449,19 +459,16 @@ func (b *Builder) emitParents(cur []*Node, lo, hi int, scratch *[]fact.Property,
 // the sharding. Returns the worker count used.
 func (b *Builder) finalizeLevel(nodes []*Node) int {
 	ws := b.acquireWorkers(len(nodes), finalizeMinChunk)
-	ws.run(len(nodes), func(w, lo, hi int) {
-		var scratch []int32
-		if w == 0 {
-			scratch = b.unionA
-		}
-		for _, n := range nodes[lo:hi] {
-			scratch = b.finalizeInto(n, scratch)
-		}
-		if w == 0 {
-			b.unionA = scratch
-		}
-	})
+	ws.run(b, nodes, (*Builder).finalizeChunk)
 	return ws.n
+}
+
+// finalizeChunk is worker w's share of finalizeLevel.
+func (b *Builder) finalizeChunk(w int, chunk []*Node) {
+	ws := &b.Scratch.workers[w]
+	for _, n := range chunk {
+		b.finalizeInto(n, ws)
+	}
 }
 
 // scoreLevel scores every node and applies the low-profit marking,
@@ -470,27 +477,32 @@ func (b *Builder) finalizeLevel(nodes []*Node) int {
 // invalid and the worker count used.
 func (b *Builder) scoreLevel(nodes []*Node) (invalid int64, workers int) {
 	ws := b.acquireWorkers(len(nodes), scoreMinChunk)
-	counts := make([]int64, ws.n)
-	ws.run(len(nodes), func(w, lo, hi int) {
-		var sc unionScratch
-		if w == 0 {
-			sc = unionScratch{a: b.unionA, b: b.unionB}
+	for w := range ws.n {
+		sw := &b.Scratch.workers[w]
+		sw.invalid = 0
+		// Lower-bound sets hold deeper nodes, all created by now, so
+		// the marks cover every ID the phase can see.
+		if grow := b.props.Len() - len(sw.seen); grow > 0 {
+			sw.seen = append(sw.seen, make([]uint32, grow)...)
 		}
-		for _, n := range nodes[lo:hi] {
-			b.score(n, &sc)
-			if !b.DisableProfitPrune && (n.Profit < 0 || n.Profit < n.FLB) {
-				n.Valid = false
-				counts[w]++
-			}
-		}
-		if w == 0 {
-			b.unionA, b.unionB = sc.a, sc.b
-		}
-	})
-	for _, c := range counts {
-		invalid += c
+	}
+	ws.run(b, nodes, (*Builder).scoreChunk)
+	for w := range ws.n {
+		invalid += b.Scratch.workers[w].invalid
 	}
 	return invalid, ws.n
+}
+
+// scoreChunk is worker w's share of scoreLevel.
+func (b *Builder) scoreChunk(w int, chunk []*Node) {
+	ws := &b.Scratch.workers[w]
+	for _, n := range chunk {
+		b.score(n, ws)
+		if !b.DisableProfitPrune && (n.Profit < 0 || n.Profit < n.FLB) {
+			n.Valid = false
+			ws.invalid++
+		}
+	}
 }
 
 // record publishes one build's effort tallies to the observability
@@ -501,7 +513,8 @@ func (b *Builder) scoreLevel(nodes []*Node) (invalid int64, workers int) {
 // labeled by lattice level (bounded by MaxPropsPerEntity, so the series
 // space stays small), replacing the name-mangled per-level counters of
 // the first observability pass.
-func (b *Builder) record(st *Stats, created, removed, invalid []int64) {
+func (b *Builder) record() {
+	st := b.stats
 	reg := b.Obs.OrDefault()
 	reg.Counter("hierarchy/builds").Inc()
 	reg.Counter("hierarchy/nodes_generated").Add(int64(st.NodesCreated))
@@ -514,18 +527,14 @@ func (b *Builder) record(st *Stats, created, removed, invalid []int64) {
 		vec := reg.CounterVec(name, "level")
 		for l, n := range tally {
 			if n > 0 {
-				vec.With(levelLabel(l)).Add(n)
+				vec.With(obs.IntLabel(l)).Add(n)
 			}
 		}
 	}
-	perLevel("hierarchy/level/nodes_generated", created)
-	perLevel("hierarchy/level/pruned_canonicity", removed)
-	perLevel("hierarchy/level/pruned_profit_bound", invalid)
+	perLevel("hierarchy/level/nodes_generated", b.Scratch.created)
+	perLevel("hierarchy/level/pruned_canonicity", b.Scratch.removed)
+	perLevel("hierarchy/level/pruned_profit_bound", b.Scratch.invalid)
 }
-
-// levelLabel renders a lattice level as a fixed-width label value so
-// lexical series order matches numeric level order.
-func levelLabel(l int) string { return fmt.Sprintf("%02d", l) }
 
 // Seed is an externally supplied initial slice (from a child web source).
 type Seed struct {
@@ -533,136 +542,89 @@ type Seed struct {
 	Entities []int32 // table row indexes
 }
 
+// prepare readies the per-build state and the scratch for b.Table.
 func (b *Builder) prepare() {
 	t := b.Table
+	n := len(t.Entities)
 	b.props = idset.NewInterner[fact.Property]()
-	b.entFacts = make([]int32, len(t.Entities))
-	b.entNew = make([]int32, len(t.Entities))
-	b.propFreq = make(map[fact.Property]int32)
+	b.slab = nil
+	counts := make([]int32, 2*n)
+	b.entFacts, b.entNew = counts[:n:n], counts[n:]
 	for i := range t.Entities {
-		e := &t.Entities[i]
-		b.entFacts[i] = int32(len(e.Props))
-		b.entNew[i] = int32(e.NewCount)
-		for _, p := range e.Props {
-			b.propFreq[p]++
-		}
+		b.entFacts[i] = int32(len(t.Entities[i].Props))
+		b.entNew[i] = int32(t.Entities[i].NewCount)
 	}
+	b.Scratch.reset(t)
 }
 
 // seedInitial creates the initial slices for every entity: one slice per
 // combination of properties taking one value per predicate.
-func (b *Builder) seedInitial(getNode func([]fact.Property) *Node, st *Stats) {
+func (b *Builder) seedInitial() {
+	st := b.stats
+	odo := &b.Scratch.combos
 	for ei := range b.Table.Entities {
-		e := &b.Table.Entities[ei]
-		props := e.Props
+		props := b.Table.Entities[ei].Props
 		if len(props) > b.MaxPropsPerEntity {
 			props = b.trimProps(props)
 			st.EntitiesCapped++
 		}
-		combos, capped := combosByPredicate(props, b.MaxInitCombos)
+		combos, capped := odo.start(props, b.MaxInitCombos)
 		if capped {
 			st.CombosCapped++
 		}
-		for _, c := range combos {
-			n := getNode(c)
+		for range combos {
+			n := b.getNode(odo.next())
 			n.Initial = true
 			n.pending = append(n.pending, int32(ei))
 		}
-		if len(combos) > 0 {
-			st.InitialSlices += len(combos)
-		}
+		st.InitialSlices += combos
 	}
 }
 
 // trimProps keeps the MaxPropsPerEntity most frequent properties of the
-// entity (ties broken by property order for determinism).
+// entity (ties broken by property order for determinism). The result is
+// a scratch buffer, valid until the next call.
 func (b *Builder) trimProps(props []fact.Property) []fact.Property {
-	idx := make([]int, len(props))
-	for i := range idx {
-		idx[i] = i
+	s := b.Scratch
+	idx := s.trimIdx[:0]
+	for i := range props {
+		idx = append(idx, i)
 	}
-	sort.SliceStable(idx, func(x, y int) bool {
-		fx, fy := b.propFreq[props[idx[x]]], b.propFreq[props[idx[y]]]
+	slices.SortFunc(idx, func(x, y int) int {
+		fx, fy := s.propFreq[props[x]], s.propFreq[props[y]]
 		if fx != fy {
-			return fx > fy
+			return cmp.Compare(fy, fx)
 		}
-		return props[idx[x]] < props[idx[y]]
+		return cmp.Compare(props[x], props[y])
 	})
 	idx = idx[:b.MaxPropsPerEntity]
-	sort.Ints(idx)
-	out := make([]fact.Property, len(idx))
-	for i, j := range idx {
-		out[i] = props[j]
+	slices.Sort(idx)
+	out := s.trimmed[:0]
+	for _, j := range idx {
+		out = append(out, props[j])
 	}
+	s.trimIdx, s.trimmed = idx, out
 	return out
-}
-
-// combosByPredicate enumerates property combinations taking exactly one
-// value per predicate, up to max combinations. props must be sorted,
-// which groups values of the same predicate contiguously.
-func combosByPredicate(props []fact.Property, max int) ([][]fact.Property, bool) {
-	if len(props) == 0 {
-		return nil, false
-	}
-	// Group by predicate.
-	var groups [][]fact.Property
-	start := 0
-	for i := 1; i <= len(props); i++ {
-		if i == len(props) || props[i].Pred() != props[start].Pred() {
-			groups = append(groups, props[start:i])
-			start = i
-		}
-	}
-	combos := [][]fact.Property{{}}
-	capped := false
-	for _, g := range groups {
-		next := make([][]fact.Property, 0, len(combos)*len(g))
-	outer:
-		for _, c := range combos {
-			for _, p := range g {
-				if len(next) >= max {
-					capped = true
-					break outer
-				}
-				nc := make([]fact.Property, len(c), len(c)+1)
-				copy(nc, c)
-				next = append(next, append(nc, p))
-			}
-		}
-		combos = next
-	}
-	return combos, capped
 }
 
 // finalizeInto folds a node's pending entities into its entity set
 // (sort, dedup, union with the existing set) and refreshes its fact
 // counts. Safe to call repeatedly; callers on different nodes may run
-// concurrently as long as each carries its own scratch. The union runs
-// through the scratch buffer (returned, possibly grown, for reuse); the
-// node's set is always backed by a fresh exact-size slice.
-func (b *Builder) finalizeInto(n *Node, scratch []int32) []int32 {
+// concurrently as long as each carries its own worker scratch. The
+// union runs through the worker's buffer; the node's set is always
+// backed by a fresh exact-size slice.
+func (b *Builder) finalizeInto(n *Node, ws *workerScratch) {
 	if len(n.pending) == 0 {
-		return scratch
+		return
 	}
-	p := n.pending
-	sort.Slice(p, func(i, j int) bool { return p[i] < p[j] })
-	dedup := p[:0]
-	var last int32 = -1
-	for _, e := range p {
-		if e != last {
-			dedup = append(dedup, e)
-			last = e
-		}
+	slices.Sort(n.pending)
+	dedup := slices.Compact(n.pending)
+	merged := dedup
+	if !n.Entities.Empty() {
+		ws.unionA = idset.AppendUnion(ws.unionA[:0], n.Entities.Values(), dedup)
+		merged = ws.unionA
 	}
-	var merged []int32
-	if n.Entities.Empty() {
-		merged = dedup
-	} else {
-		scratch = idset.AppendUnion(scratch[:0], n.Entities.Values(), dedup)
-		merged = scratch
-	}
-	ents := make([]int32, len(merged))
-	copy(ents, merged)
+	ents := slices.Clone(merged)
 	n.Entities = idset.FromSorted(ents)
 	n.pending = n.pending[:0]
 	n.Facts, n.NewFacts = 0, 0
@@ -670,28 +632,29 @@ func (b *Builder) finalizeInto(n *Node, scratch []int32) []int32 {
 		n.Facts += int(b.entFacts[e])
 		n.NewFacts += int(b.entNew[e])
 	}
-	return scratch
 }
 
 // sharedCore returns the subset of props held by at least two entities
-// of the table; it returns props itself (not a copy) when every
-// property qualifies.
-func (b *Builder) sharedCore(props []fact.Property) []fact.Property {
+// of the table. It returns props itself (not a copy) when every
+// property qualifies, and otherwise builds the subset in *buf.
+func (b *Builder) sharedCore(props []fact.Property, buf *[]fact.Property) []fact.Property {
+	freq := b.Scratch.propFreq
 	shared := 0
 	for _, p := range props {
-		if b.propFreq[p] >= 2 {
+		if freq[p] >= 2 {
 			shared++
 		}
 	}
 	if shared == len(props) {
 		return props
 	}
-	core := make([]fact.Property, 0, shared)
+	core := (*buf)[:0]
 	for _, p := range props {
-		if b.propFreq[p] >= 2 {
+		if freq[p] >= 2 {
 			core = append(core, p)
 		}
 	}
+	*buf = core
 	return core
 }
 
@@ -746,59 +709,61 @@ func descendantViaOther(p, c *Node) bool {
 	return false
 }
 
-// unionScratch is one worker's ping-pong buffer pair for entity-set
-// unions in setProfit.
-type unionScratch struct {
-	a, b []int32
-}
-
 // score computes Profit, FLB, and SLB for a canonical node.
-func (b *Builder) score(n *Node, sc *unionScratch) {
+func (b *Builder) score(n *Node, ws *workerScratch) {
 	n.Profit = b.Cost.SliceProfit(n.NewFacts, n.Facts, b.Table.TotalFacts)
 
-	// Collect the lower-bound sets of children with positive bounds.
-	var lb []*Node
-	seen := make(map[*Node]struct{})
+	// Collect the lower-bound sets of children with positive bounds,
+	// each member once, in first-seen order.
+	ws.stamp++
+	if ws.stamp == 0 { // wrapped: old marks could alias the new stamp
+		clear(ws.seen)
+		ws.stamp = 1
+	}
+	lb := ws.lb[:0]
+	add := func(s *Node) {
+		if ws.seen[s.set] != ws.stamp {
+			ws.seen[s.set] = ws.stamp
+			lb = append(lb, s)
+		}
+	}
 	for _, c := range n.Children {
 		if c.FLB <= 0 {
 			continue
 		}
-		set := c.SLB
 		if c.SLBSelf {
-			set = []*Node{c}
+			add(c)
+			continue
 		}
-		for _, s := range set {
-			if _, dup := seen[s]; !dup {
-				seen[s] = struct{}{}
-				lb = append(lb, s)
-			}
+		for _, s := range c.SLB {
+			add(s)
 		}
 	}
+	ws.lb = lb
 	fUnion := 0.0
 	if len(lb) > 0 {
-		fUnion = b.setProfit(lb, sc)
+		fUnion = b.setProfit(lb, ws)
 	}
 
-	n.FLB = 0
-	n.SLB, n.SLBSelf = nil, false
-	if fUnion > n.FLB {
-		n.FLB = fUnion
-		n.SLB = lb
-	}
-	if n.Profit >= n.FLB && n.Profit > 0 {
-		n.FLB = n.Profit
-		n.SLB, n.SLBSelf = nil, true
+	// S_LB(S) is {S} when the node alone does at least as well as its
+	// descendants' bound, else the collected set (when it gains at all).
+	n.FLB, n.SLB, n.SLBSelf = 0, nil, false
+	switch {
+	case n.Profit >= max(fUnion, 0) && n.Profit > 0:
+		n.FLB, n.SLBSelf = n.Profit, true
+	case fUnion > 0:
+		n.FLB, n.SLB = fUnion, slices.Clone(lb)
 	}
 }
 
 // setProfit computes f over a set of (possibly entity-overlapping) nodes
 // of this source. The entity union is accumulated in the worker's two
-// ping-pong scratch buffers instead of a per-call map.
-func (b *Builder) setProfit(nodes []*Node, sc *unionScratch) float64 {
+// ping-pong buffers instead of a per-call map.
+func (b *Builder) setProfit(nodes []*Node, ws *workerScratch) float64 {
 	if len(nodes) == 1 {
 		return nodes[0].Profit
 	}
-	acc, spare := sc.a[:0], sc.b[:0]
+	acc, spare := ws.unionA[:0], ws.unionB[:0]
 	for _, n := range nodes {
 		spare = idset.AppendUnion(spare[:0], acc, n.Entities.Values())
 		acc, spare = spare, acc
@@ -808,7 +773,7 @@ func (b *Builder) setProfit(nodes []*Node, sc *unionScratch) float64 {
 		facts += int(b.entFacts[e])
 		newFacts += int(b.entNew[e])
 	}
-	sc.a, sc.b = acc, spare
+	ws.unionA, ws.unionB = acc, spare
 	return b.Cost.SetProfit(len(nodes), facts, newFacts, []int{b.Table.TotalFacts})
 }
 
@@ -825,33 +790,9 @@ func deleteNode(list []*Node, n *Node) []*Node {
 	return out
 }
 
-// collectNodes lists a level's nodes in map order — used where only the
-// node set matters (finalization), not the order.
-func collectNodes(m map[idset.SetID]*Node) []*Node {
-	out := make([]*Node, 0, len(m))
-	for _, n := range m {
-		out = append(out, n)
-	}
-	return out
-}
-
-// sortedNodes orders a level's nodes by their property sets. All nodes
+// compareNodes orders a level's nodes by their property sets. All nodes
 // of one level have equally many properties, so elementwise comparison
 // of the packed uint64 properties reproduces the ordering of the
 // big-endian byte keys the levels were once keyed by — node iteration
 // order is unchanged and the build stays deterministic.
-func sortedNodes(m map[idset.SetID]*Node) []*Node {
-	out := collectNodes(m)
-	sort.Slice(out, func(i, j int) bool { return lessProps(out[i].Props, out[j].Props) })
-	return out
-}
-
-// lessProps compares property sets lexicographically, shorter first.
-func lessProps(a, b []fact.Property) bool {
-	for i := 0; i < len(a) && i < len(b); i++ {
-		if a[i] != b[i] {
-			return a[i] < b[i]
-		}
-	}
-	return len(a) < len(b)
-}
+func compareNodes(a, b *Node) int { return slices.Compare(a.Props, b.Props) }

@@ -116,7 +116,8 @@ type workSet struct {
 
 // acquireWorkers sizes a phase's worker set: at most Options.Workers,
 // at most one worker per minChunk items, and beyond the first worker
-// only as many as the shared pool has spare tokens for.
+// only as many as the shared pool has spare tokens for. The scratch is
+// grown to hold every acquired worker's private state.
 func (b *Builder) acquireWorkers(items, minChunk int) workSet {
 	want := b.Options.workers()
 	if cap := items / minChunk; want > cap {
@@ -126,31 +127,33 @@ func (b *Builder) acquireWorkers(items, minChunk int) workSet {
 	for extra < want-1 && b.Options.Pool.TryAcquire() {
 		extra++
 	}
+	b.Scratch.growWorkers(extra + 1)
 	return workSet{pool: b.Options.Pool, n: extra + 1}
 }
 
-// run executes fn over [0, items) split into n contiguous chunks, one
-// per worker, and returns when all chunks finish. Chunks are contiguous
-// and index-ordered so a worker-order replay of per-chunk records
+// run executes fn over nodes split into n contiguous chunks, one per
+// worker, and returns when all chunks finish. Chunks are contiguous and
+// index-ordered so a worker-order replay of per-chunk records
 // reproduces the sequential operation order. Must be called exactly
-// once per acquireWorkers: it releases the held tokens.
-func (ws workSet) run(items int, fn func(w, lo, hi int)) {
+// once per acquireWorkers: it releases the held tokens. fn is a method
+// expression, so a one-worker phase runs without allocating a closure.
+func (ws workSet) run(b *Builder, nodes []*Node, fn func(b *Builder, w int, chunk []*Node)) {
 	if ws.n <= 1 {
-		fn(0, 0, items)
+		fn(b, 0, nodes)
 		return
 	}
 	var wg sync.WaitGroup
 	for w := 1; w < ws.n; w++ {
-		lo, hi := chunkBounds(items, ws.n, w)
+		lo, hi := chunkBounds(len(nodes), ws.n, w)
 		wg.Add(1)
-		go func(w, lo, hi int) {
+		go func() {
 			defer wg.Done()
 			defer ws.pool.Release()
-			fn(w, lo, hi)
-		}(w, lo, hi)
+			fn(b, w, nodes[lo:hi])
+		}()
 	}
-	lo, hi := chunkBounds(items, ws.n, 0)
-	fn(0, lo, hi)
+	lo, hi := chunkBounds(len(nodes), ws.n, 0)
+	fn(b, 0, nodes[lo:hi])
 	wg.Wait()
 }
 

@@ -219,3 +219,34 @@ func TestSharedPoolConcurrentBuilds(t *testing.T) {
 		assertEqualHierarchies(t, fmt.Sprintf("shared-pool build %d", i), refs[i], results[i])
 	}
 }
+
+// TestScratchReuseEquivalence pins the per-worker scratch contract:
+// builds that share one Scratch, as a framework worker's successive
+// sources do, match builds with a private one, whatever sizes and
+// worker counts ran on the scratch before.
+func TestScratchReuseEquivalence(t *testing.T) {
+	tables := worldTables(datagen.ReVerbSlim(datagen.DefaultSlimParams(7)), 8)
+	tables = append(tables, randomTable(rand.New(rand.NewSource(47)), 2000, 10, 3, 0.55, 0.3))
+	seeds := []hierarchy.Seed{{Props: tables[0].Entities[0].Props[:1], Entities: []int32{0, 1}}}
+	scratch := new(hierarchy.Scratch)
+	// Forward then backward, so every table follows both a larger and a
+	// smaller one on the same scratch.
+	for pass := 0; pass < 2; pass++ {
+		for k := range tables {
+			i := k
+			if pass == 1 {
+				i = len(tables) - 1 - k
+			}
+			var sd []hierarchy.Seed
+			if i == 0 {
+				sd = seeds
+			}
+			for _, workers := range []int{1, 4} {
+				o := hierarchy.Options{Workers: workers}
+				ref := buildWith(tables[i], sd, o)
+				got := (&hierarchy.Builder{Table: tables[i], Options: o, Scratch: scratch}).Build(sd)
+				assertEqualHierarchies(t, fmt.Sprintf("pass %d table %d workers=%d", pass, i, workers), ref, got)
+			}
+		}
+	}
+}

@@ -249,31 +249,69 @@ func TestAppendFingerprintIncremental(t *testing.T) {
 }
 
 func TestInterner(t *testing.T) {
-	in := NewInterner[uint64]()
-	a := in.Intern([]uint64{1, 5, 9})
-	b := in.Intern([]uint64{1, 5})
-	if a == b {
-		t.Fatal("distinct sets interned to the same ID")
-	}
-	if got := in.Intern([]uint64{1, 5, 9}); got != a {
-		t.Errorf("re-intern = %d, want %d", got, a)
-	}
-	if got := in.Get(a); len(got) != 3 || got[2] != 9 {
-		t.Errorf("Get(a) = %v", got)
-	}
-	if in.Len() != 2 {
-		t.Errorf("Len = %d, want 2", in.Len())
-	}
-	if got := in.Lookup([]uint64{1, 5}); got != b {
-		t.Errorf("Lookup = %d, want %d", got, b)
-	}
-	if got := in.Lookup([]uint64{7}); got != -1 {
-		t.Errorf("Lookup(missing) = %d, want -1", got)
-	}
-	// The empty set interns like any other.
-	e := in.Intern(nil)
-	if in.Intern([]uint64{}) != e || len(in.Get(e)) != 0 {
-		t.Error("empty-set interning not canonical")
+	forEachBucketing(t, func(t *testing.T, chained bool) {
+		in := newTestInterner[uint64](chained)
+		a := in.Intern([]uint64{1, 5, 9})
+		b := in.Intern([]uint64{1, 5})
+		if a == b {
+			t.Fatal("distinct sets interned to the same ID")
+		}
+		if got := in.Intern([]uint64{1, 5, 9}); got != a {
+			t.Errorf("re-intern = %d, want %d", got, a)
+		}
+		if got := in.Get(a); len(got) != 3 || got[2] != 9 {
+			t.Errorf("Get(a) = %v", got)
+		}
+		if in.Len() != 2 {
+			t.Errorf("Len = %d, want 2", in.Len())
+		}
+		if got := in.Lookup([]uint64{1, 5}); got != b {
+			t.Errorf("Lookup = %d, want %d", got, b)
+		}
+		if got := in.Lookup([]uint64{7}); got != -1 {
+			t.Errorf("Lookup(missing) = %d, want -1", got)
+		}
+		// The empty set interns like any other.
+		e := in.Intern(nil)
+		if in.Intern([]uint64{}) != e || len(in.Get(e)) != 0 {
+			t.Error("empty-set interning not canonical")
+		}
+	})
+}
+
+// TestInternerCollisions pins the chained buckets: the same intern
+// sequence gives the same IDs, lookups and views whether sets spread
+// over fingerprint buckets or all share one, including after Reset.
+func TestInternerCollisions(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	spread, chained := NewInterner[int32](), collideAll(NewInterner[int32]())
+	for round := 0; round < 3; round++ {
+		for i := 0; i < 400; i++ {
+			raw := make([]int32, rng.Intn(5))
+			for j := range raw {
+				raw[j] = int32(rng.Intn(9))
+			}
+			set := sortedSet(raw)
+			a, b := spread.Intern(set), chained.Intern(set)
+			if a != b {
+				t.Fatalf("round %d: %v interned to %d with buckets, %d chained", round, set, a, b)
+			}
+			if !eqSlices(chained.Get(b), set) {
+				t.Fatalf("round %d: chained Get(%d) = %v, want %v", round, b, chained.Get(b), set)
+			}
+			probe := sortedSet([]int32{int32(rng.Intn(12)), int32(rng.Intn(12))})
+			if a, b := spread.Lookup(probe), chained.Lookup(probe); a != b {
+				t.Fatalf("round %d: Lookup(%v) = %d with buckets, %d chained", round, probe, a, b)
+			}
+		}
+		if spread.Len() != chained.Len() {
+			t.Fatalf("round %d: Len %d with buckets, %d chained", round, spread.Len(), chained.Len())
+		}
+		spread.Reset()
+		chained.Reset()
+		if chained.Len() != 0 || chained.Lookup(nil) != -1 {
+			t.Fatalf("Reset left %d sets behind", chained.Len())
+		}
 	}
 }
 

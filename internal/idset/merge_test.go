@@ -93,18 +93,21 @@ func TestInternerMerge(t *testing.T) {
 			return vals
 		}())
 	}
-	for trial := 0; trial < 200; trial++ {
-		dst := NewInterner[int32]()
-		src := NewInterner[int32]()
-		universe := 4 + rng.Intn(12) // small universe forces overlap
-		for i, n := 0, rng.Intn(20); i < n; i++ {
-			dst.Intern(randSet(universe))
+	forEachBucketing(t, func(t *testing.T, chained bool) {
+		rng.Seed(19) // both layouts see the same interning sequences
+		for trial := 0; trial < 200; trial++ {
+			dst := newTestInterner[int32](chained)
+			src := newTestInterner[int32](chained)
+			universe := 4 + rng.Intn(12) // small universe forces overlap
+			for i, n := 0, rng.Intn(20); i < n; i++ {
+				dst.Intern(randSet(universe))
+			}
+			for i, n := 0, rng.Intn(20); i < n; i++ {
+				src.Intern(randSet(universe))
+			}
+			checkMergeAgainstRef(t, dst, src)
 		}
-		for i, n := 0, rng.Intn(20); i < n; i++ {
-			src.Intern(randSet(universe))
-		}
-		checkMergeAgainstRef(t, dst, src)
-	}
+	})
 }
 
 // TestInternerMergeEmpty pins the edge cases: empty src, empty dst, and

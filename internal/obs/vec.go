@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"fmt"
 	"strings"
 	"sync"
 )
@@ -8,6 +9,25 @@ import (
 // labelSep joins label values into a series key. 0xFF cannot appear in
 // UTF-8 text, so joined keys are unambiguous.
 const labelSep = "\xff"
+
+// intLabels holds the label values of 0–99, rendered once.
+var intLabels = func() (t [100]string) {
+	for n := range t {
+		t[n] = fmt.Sprintf("%02d", n)
+	}
+	return t
+}()
+
+// IntLabel renders a small integer such as a depth or lattice level as a
+// zero-padded label value ("01", "02", …), so lexical series order
+// matches numeric order. Values 0–99 come from a table, so labelling a
+// metric on a hot path neither formats nor allocates.
+func IntLabel(n int) string {
+	if n >= 0 && n < len(intLabels) {
+		return intLabels[n]
+	}
+	return fmt.Sprintf("%02d", n)
+}
 
 // CounterVec is a family of counters partitioned by a small, fixed set
 // of labels (round, depth, lattice level, decision). Each distinct

@@ -267,3 +267,23 @@ func TestSnapshotDuringConcurrentWrites(t *testing.T) {
 		t.Errorf("tvec observation total = %d, want %d", timerCount, goroutines*perG)
 	}
 }
+
+// TestIntLabelNoAllocs pins the precomputed depth and lattice-level
+// label values: labelling a metric must not format or allocate, and the
+// series names keep their zero-padded form ("01", "02", …).
+func TestIntLabelNoAllocs(t *testing.T) {
+	for n, want := range map[int]string{0: "00", 7: "07", 12: "12", 99: "99", 123: "123"} {
+		if got := IntLabel(n); got != want {
+			t.Errorf("IntLabel(%d) = %q, want %q", n, got, want)
+		}
+	}
+	var sink string
+	if allocs := testing.AllocsPerRun(100, func() {
+		for n := 0; n < 100; n++ {
+			sink = IntLabel(n)
+		}
+	}); allocs != 0 {
+		t.Errorf("IntLabel allocates %.1f times per sweep, want 0", allocs)
+	}
+	_ = sink
+}
