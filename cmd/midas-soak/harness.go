@@ -431,12 +431,16 @@ func (h *seedHarness) checkDrain() {
 			Status string `json:"status"`
 			Cached bool   `json:"cached"`
 		} `json:"jobs"`
+		Evicted struct {
+			Ran    int64 `json:"ran"`
+			Cached int64 `json:"cached"`
+		} `json:"evicted"`
 	}
 	if code, err := h.doJSON(h.hc, "GET", "/api/jobs", nil, "", &jobs); err != nil || code != http.StatusOK {
 		h.violate(-1, -1, "drain-jobs", fmt.Sprintf("job list after drain: HTTP %d (%v)", code, err))
 		return
 	}
-	ran, cached := int64(0), int64(0)
+	ran, cached := jobs.Evicted.Ran, jobs.Evicted.Cached
 	for _, j := range jobs.Jobs {
 		if j.Status == serve.StateRunning {
 			h.violate(-1, -1, "drain-left-running", fmt.Sprintf("job %s still running after Drain", j.Job))
@@ -447,9 +451,10 @@ func (h *seedHarness) checkDrain() {
 			ran++
 		}
 	}
-	// The authoritative job list must reconcile exactly with the
-	// serve/* counters: every non-cached job was executed and finished,
-	// every cached one hit the result cache. After a restart the shared
+	// The authoritative job list plus the jobs aged out of the bounded
+	// registry must reconcile exactly with the serve/* counters: every
+	// non-cached job was executed and finished, every cached one hit the
+	// result cache. After a restart the shared
 	// counters span every generation while /api/jobs only lists the
 	// current one, so the exact reconciliation only holds restart-free.
 	if h.restarts.Load() == 0 {

@@ -30,11 +30,29 @@ type Tracer struct {
 	// rootSeen counts root-span starts for the modulus.
 	sampleN  atomic.Int64
 	rootSeen atomic.Int64
-	// retain bounds len(events); ≤0 keeps everything (batch runs that
-	// export one trace at exit). Long-lived servers set it so untaken
-	// traces age out instead of growing without bound.
+	// retain bounds the retained span count; ≤0 keeps everything
+	// (batch runs that export one trace at exit). Long-lived servers set
+	// it so untaken traces age out instead of growing without bound.
 	retain atomic.Int64
+
+	// Completed spans are bucketed by trace, so TakeTrace touches only
+	// its own trace and End never moves other spans. order queues the
+	// buckets by first completed span — eviction drains the oldest
+	// bucket front to back. A bucket taken by TakeTrace leaves a stale
+	// entry in order (skipped by an identity check against traces and
+	// compacted away once stale entries outnumber live ones); late spans
+	// of a taken or evicted trace open a fresh bucket with its own entry,
+	// so no bucket is ever queued twice.
 	mu     sync.Mutex
+	traces map[int64]*traceBucket
+	order  []*traceBucket
+	stale  int // entries in order whose bucket is no longer in traces
+	n      int // completed spans retained, over all buckets
+}
+
+// traceBucket holds one trace's retained spans in completion order.
+type traceBucket struct {
+	trace  int64
 	events []spanEvent
 }
 
@@ -53,7 +71,7 @@ type spanEvent struct {
 
 // NewTracer returns an empty tracer.
 func NewTracer() *Tracer {
-	return &Tracer{epoch: time.Now()}
+	return &Tracer{epoch: time.Now(), traces: make(map[int64]*traceBucket)}
 }
 
 // defaultTracer is the process-wide tracer, nil (disabled) unless a
@@ -222,22 +240,61 @@ func (s *Span) End() {
 		dur:    time.Since(s.t.epoch) - s.start,
 		args:   s.args,
 	}
-	max := int(s.t.retain.Load())
-	s.t.mu.Lock()
-	s.t.events = append(s.t.events, ev)
-	if max > 0 && len(s.t.events) > max {
-		// Age out the oldest completed spans; their traces become
-		// partial, which profile consumers tolerate.
-		drop := len(s.t.events) - max
-		s.t.events = append(s.t.events[:0], s.t.events[drop:]...)
+	s.t.record(ev)
+}
+
+// record files a completed span under its trace and, past the
+// retention cap, evicts from the oldest trace — amortized O(1).
+func (t *Tracer) record(ev spanEvent) {
+	max := int(t.retain.Load())
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	b := t.traces[ev.trace]
+	if b == nil {
+		b = &traceBucket{trace: ev.trace}
+		t.traces[ev.trace] = b
+		t.order = append(t.order, b)
 	}
-	s.t.mu.Unlock()
+	b.events = append(b.events, ev)
+	t.n++
+	for max > 0 && t.n > max {
+		t.evictOldest()
+	}
+}
+
+// evictOldest drops the first span of the oldest retained trace; its
+// trace becomes partial, which profile consumers tolerate. Callers hold
+// t.mu and guarantee t.n > 0.
+func (t *Tracer) evictOldest() {
+	for {
+		b := t.order[0]
+		if t.traces[b.trace] != b {
+			t.popOrder()
+			t.stale--
+			continue
+		}
+		b.events[0] = spanEvent{}
+		b.events = b.events[1:]
+		t.n--
+		if len(b.events) == 0 {
+			delete(t.traces, b.trace)
+			t.popOrder()
+		}
+		return
+	}
+}
+
+func (t *Tracer) popOrder() {
+	t.order[0] = nil
+	t.order = t.order[1:]
 }
 
 // SetRetention bounds the number of completed spans the tracer retains;
-// once exceeded, the oldest are discarded. Long-lived servers (which
-// trace every request but only fold discovery traces into profiles) set
-// it so abandoned traces age out. n ≤ 0 retains everything — the batch
+// once exceeded, spans are discarded from the trace whose first span
+// completed earliest, in completion order, so the newest spans survive
+// and Len never exceeds n. Long-lived servers (which trace every
+// request but only fold discovery traces into profiles) set it so
+// abandoned traces age out. n ≤ 0 retains everything — the batch
 // default, where the whole trace is exported at exit. Safe to call
 // concurrently with tracing.
 func (t *Tracer) SetRetention(n int) {
@@ -266,26 +323,42 @@ type SpanRecord struct {
 // spans into its profile while keeping the tracer's memory bounded:
 // once taken, the spans no longer appear in Chrome-trace exports. An
 // unknown or already-taken trace returns nil. Spans still in flight are
-// not included — callers take a trace only after its root has ended.
+// not included — callers take a trace only after its root has ended; a
+// span that ends after the take is retained like any other, and a later
+// take returns it. Costs O(spans in the trace).
 func (t *Tracer) TakeTrace(traceID int64) []SpanRecord {
 	if t == nil || traceID == 0 {
 		return nil
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	var out []SpanRecord
-	kept := t.events[:0]
-	for _, ev := range t.events {
-		if ev.trace != traceID {
-			kept = append(kept, ev)
-			continue
+	b := t.traces[traceID]
+	if b == nil {
+		return nil
+	}
+	delete(t.traces, traceID)
+	t.n -= len(b.events)
+	// b's entry in order is now stale. Compacting once stale entries
+	// outnumber live ones keeps order within twice the live buckets at
+	// amortized O(1) per take.
+	if t.stale++; t.stale > len(t.traces)+64 {
+		live := make([]*traceBucket, 0, 2*len(t.traces))
+		for _, ob := range t.order {
+			if t.traces[ob.trace] == ob {
+				live = append(live, ob)
+			}
 		}
-		out = append(out, SpanRecord{
+		t.order, t.stale = live, 0
+	}
+	out := make([]SpanRecord, len(b.events))
+	for i, ev := range b.events {
+		out[i] = SpanRecord{
 			ID: ev.id, Parent: ev.parent, Trace: ev.trace, Name: ev.name,
 			Start: ev.start, Duration: ev.dur, Args: ev.args,
-		})
+		}
 	}
-	t.events = kept
+	// The stale entry must not pin the taken spans until compaction.
+	b.events = nil
 	return out
 }
 
@@ -296,7 +369,7 @@ func (t *Tracer) Len() int {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return len(t.events)
+	return t.n
 }
 
 // chromeEvent is one trace event in the Chrome trace-event format
@@ -322,7 +395,12 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 	var events []spanEvent
 	if t != nil {
 		t.mu.Lock()
-		events = append(events, t.events...)
+		events = make([]spanEvent, 0, t.n)
+		for _, b := range t.order {
+			if t.traces[b.trace] == b {
+				events = append(events, b.events...)
+			}
+		}
 		t.mu.Unlock()
 	}
 

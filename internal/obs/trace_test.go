@@ -4,6 +4,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
+	"io"
+	"maps"
+	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -295,4 +300,302 @@ func TestSpanRetention(t *testing.T) {
 	}
 	var nilTr *Tracer
 	nilTr.SetRetention(5) // no-op
+}
+
+// spanModel restates the retention policy naively: traces queue by
+// their first completed span, and eviction drains the oldest trace
+// front to back.
+type spanModel struct {
+	retain int
+	order  []int64
+	spans  map[int64][]string // trace → span names in completion order
+}
+
+func (m *spanModel) len() int {
+	n := 0
+	for _, names := range m.spans {
+		n += len(names)
+	}
+	return n
+}
+
+func (m *spanModel) end(trace int64, name string) {
+	if _, ok := m.spans[trace]; !ok {
+		m.order = append(m.order, trace)
+	}
+	m.spans[trace] = append(m.spans[trace], name)
+	for m.retain > 0 && m.len() > m.retain {
+		oldest := m.order[0]
+		m.spans[oldest] = m.spans[oldest][1:]
+		if len(m.spans[oldest]) == 0 {
+			delete(m.spans, oldest)
+			m.order = m.order[1:]
+		}
+	}
+}
+
+func (m *spanModel) take(trace int64) []string {
+	names := m.spans[trace]
+	delete(m.spans, trace)
+	for i, id := range m.order {
+		if id == trace {
+			m.order = append(m.order[:i], m.order[i+1:]...)
+			break
+		}
+	}
+	return names
+}
+
+// TestSpanStoreMatchesModel drives random interleavings of span ends
+// (including late spans of taken and evicted traces), takes, and
+// exports, and checks the tracer against spanModel after every step:
+// Len exact, takes returning the surviving suffix in completion order,
+// every retained span exported exactly once, and the trace queue
+// bounded by its live buckets.
+func TestSpanStoreMatchesModel(t *testing.T) {
+	for _, retain := range []int{0, 1, 7, 64} {
+		t.Run(fmt.Sprintf("retain=%d", retain), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(int64(retain) + 1))
+			tr := NewTracer()
+			tr.SetRetention(retain)
+			m := &spanModel{retain: retain, spans: map[int64][]string{}}
+			var roots []context.Context // one per trace ever started
+			var open []*Span
+			seq := 0
+			for step := 0; step < 3000; step++ {
+				switch op := rng.Intn(20); {
+				case op < 3 || len(roots) == 0:
+					ctx, s := tr.StartSpan(context.Background(), fmt.Sprint("s", seq))
+					seq++
+					roots = append(roots, ctx)
+					open = append(open, s)
+				case op < 8:
+					// Any trace, including taken and evicted ones: their
+					// children complete late.
+					_, s := tr.StartSpan(roots[rng.Intn(len(roots))], fmt.Sprint("s", seq))
+					seq++
+					open = append(open, s)
+				case op < 16 && len(open) > 0:
+					i := rng.Intn(len(open))
+					s := open[i]
+					open[i] = open[len(open)-1]
+					open = open[:len(open)-1]
+					s.End()
+					m.end(s.TraceID(), s.name)
+				case op < 19:
+					trace := SpanFromContext(roots[rng.Intn(len(roots))]).TraceID()
+					want := m.take(trace)
+					var got []string
+					for _, r := range tr.TakeTrace(trace) {
+						if r.Trace != trace {
+							t.Fatalf("step %d: take(%d) returned span of trace %d", step, trace, r.Trace)
+						}
+						got = append(got, r.Name)
+					}
+					if !slices.Equal(got, want) {
+						t.Fatalf("step %d: take(%d) = %v, want %v", step, trace, got, want)
+					}
+				default:
+					var want []string
+					for _, names := range m.spans {
+						want = append(want, names...)
+					}
+					var got []string
+					for _, ev := range decodeTrace(t, tr) {
+						got = append(got, ev.Name)
+					}
+					slices.Sort(want)
+					slices.Sort(got)
+					if !slices.Equal(got, want) {
+						t.Fatalf("step %d: export = %v, want %v", step, got, want)
+					}
+				}
+				if got, want := tr.Len(), m.len(); got != want {
+					t.Fatalf("step %d: Len = %d, want %d", step, got, want)
+				}
+				if len(tr.order) > 2*len(tr.traces)+65 {
+					t.Fatalf("step %d: trace queue holds %d entries for %d live traces", step, len(tr.order), len(tr.traces))
+				}
+			}
+		})
+	}
+}
+
+// TestTraceQueueCompacts: a tracer whose every trace is taken before
+// retention ever evicts (the serving path's job traces) keeps its trace
+// queue bounded instead of accumulating one stale entry per take.
+func TestTraceQueueCompacts(t *testing.T) {
+	tr := NewTracer()
+	_, keep := tr.StartSpan(context.Background(), "untaken")
+	keep.End()
+	for i := 0; i < 1000; i++ {
+		_, s := tr.StartSpan(context.Background(), "job")
+		s.End()
+		if len(tr.TakeTrace(s.TraceID())) != 1 {
+			t.Fatalf("take %d lost its span", i)
+		}
+		if len(tr.order) > 66 {
+			t.Fatalf("after %d takes the trace queue holds %d entries for %d live traces", i+1, len(tr.order), len(tr.traces))
+		}
+	}
+	if tr.Len() != 1 || len(decodeTrace(t, tr)) != 1 {
+		t.Errorf("Len = %d, want only the untaken span", tr.Len())
+	}
+}
+
+// TestPartiallyEvictedTrace: retention evicts from the front of the
+// oldest trace, so a take returns that trace's surviving suffix in
+// completion order.
+func TestPartiallyEvictedTrace(t *testing.T) {
+	tr := NewTracer()
+	tr.SetRetention(4)
+	endTrace := func(names ...string) int64 {
+		ctx, root := tr.StartSpan(context.Background(), "root")
+		for _, name := range names {
+			_, s := tr.StartSpan(ctx, name)
+			s.End()
+		}
+		return root.TraceID()
+	}
+	a := endTrace("a1", "a2", "a3")
+	b := endTrace("b1", "b2", "b3")
+	if tr.Len() != 4 {
+		t.Fatalf("Len = %d, want 4", tr.Len())
+	}
+	var names []string
+	for _, r := range tr.TakeTrace(a) {
+		names = append(names, r.Name)
+	}
+	if !slices.Equal(names, []string{"a3"}) {
+		t.Errorf("take(a) = %v, want the surviving suffix [a3]", names)
+	}
+	if got := len(tr.TakeTrace(b)); got != 3 || tr.Len() != 0 {
+		t.Errorf("take(b) = %d spans, Len after = %d; want 3 and 0", got, tr.Len())
+	}
+}
+
+// TestLateSpansExportedOnce: a span ending after its trace was taken or
+// evicted is retained and exported exactly once.
+func TestLateSpansExportedOnce(t *testing.T) {
+	tr := NewTracer()
+	tr.SetRetention(2)
+	actx, aroot := tr.StartSpan(context.Background(), "a-root")
+	_, lateTaken := tr.StartSpan(actx, "a-late-after-take")
+	_, lateEvicted := tr.StartSpan(actx, "a-late-after-evict")
+	aroot.End()
+	if got := len(tr.TakeTrace(aroot.TraceID())); got != 1 {
+		t.Fatalf("take = %d spans, want 1", got)
+	}
+	lateTaken.End()
+	// Two spans of a newer trace evict the late span: trace a is gone.
+	bctx, broot := tr.StartSpan(context.Background(), "b-root")
+	_, b1 := tr.StartSpan(bctx, "b1")
+	b1.End()
+	broot.End()
+	lateEvicted.End()
+
+	counts := map[string]int{}
+	for _, ev := range decodeTrace(t, tr) {
+		counts[ev.Name]++
+	}
+	want := map[string]int{"b-root": 1, "a-late-after-evict": 1}
+	if !maps.Equal(counts, want) || tr.Len() != 2 {
+		t.Errorf("export = %v with Len %d, want %v", counts, tr.Len(), want)
+	}
+	recs := tr.TakeTrace(aroot.TraceID())
+	if len(recs) != 1 || recs[0].Name != "a-late-after-evict" {
+		t.Errorf("second take of a = %+v, want only the late span", recs)
+	}
+}
+
+// TestSpanStoreConcurrent races span ends against takes and exports
+// under a small retention; run it with -race -count=10.
+func TestSpanStoreConcurrent(t *testing.T) {
+	tr := NewTracer()
+	tr.SetRetention(256)
+	const writers, traces, spansPerTrace = 4, 200, 8
+	ids := make(chan int64, writers*traces)
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < traces; i++ {
+				ctx, root := tr.StartSpan(context.Background(), "root")
+				for k := 0; k < spansPerTrace; k++ {
+					_, s := tr.StartSpan(ctx, "child")
+					s.End()
+				}
+				root.End()
+				ids <- root.TraceID()
+			}
+		}()
+	}
+	stop := make(chan struct{})
+	var readers sync.WaitGroup
+	readers.Add(2)
+	go func() {
+		defer readers.Done()
+		for id := range ids {
+			for _, r := range tr.TakeTrace(id) {
+				if r.Trace != id {
+					t.Errorf("take(%d) returned span of trace %d", id, r.Trace)
+				}
+			}
+		}
+	}()
+	go func() {
+		defer readers.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if err := tr.WriteChromeTrace(io.Discard); err != nil {
+				t.Error(err)
+			}
+			if n := tr.Len(); n < 0 || n > 256 {
+				t.Errorf("Len = %d outside [0, 256]", n)
+			}
+		}
+	}()
+	wg.Wait()
+	close(ids)
+	close(stop)
+	readers.Wait()
+	if tr.Len() != 0 {
+		t.Errorf("Len = %d after every trace was taken, want 0", tr.Len())
+	}
+	if n := len(decodeTrace(t, tr)); n != 0 {
+		t.Errorf("export holds %d spans after every trace was taken", n)
+	}
+}
+
+// BenchmarkSpanEnd measures one span end at full retention, in traces
+// of 16 spans. ns/op should not depend on the retention size.
+func BenchmarkSpanEnd(b *testing.B) {
+	for _, retain := range []int{1 << 10, 1 << 17} {
+		b.Run(fmt.Sprintf("retain=%d", retain), func(b *testing.B) {
+			tr := NewTracer()
+			tr.SetRetention(retain)
+			ctx, root := tr.StartSpan(context.Background(), "root")
+			end := func(i int) {
+				if i%16 == 15 {
+					root.End()
+					ctx, root = tr.StartSpan(context.Background(), "root")
+					return
+				}
+				_, s := tr.StartSpan(ctx, "child")
+				s.End()
+			}
+			for i := 0; i < retain; i++ {
+				end(i)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				end(i)
+			}
+		})
+	}
 }

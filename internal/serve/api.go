@@ -537,19 +537,28 @@ func (s *Server) jobInfo(j *job) map[string]any {
 	return info
 }
 
+// handleListJobs lists the retained jobs — every running job and the
+// newest jobRetention finished ones — and counts the finished jobs aged
+// out of the registry, split like the serve/jobs/finished and
+// serve/cache/hit counters: with no job in flight, listed plus evicted
+// equals each counter exactly.
 func (s *Server) handleListJobs(w http.ResponseWriter, r *http.Request) {
 	s.mu.RLock()
 	jobs := make([]*job, 0, len(s.jobs))
 	for _, j := range s.jobs {
 		jobs = append(jobs, j)
 	}
+	evicted := s.evicted
 	s.mu.RUnlock()
 	sort.Slice(jobs, func(i, k int) bool { return jobs[i].started.Before(jobs[k].started) })
 	list := make([]map[string]any, len(jobs))
 	for i, j := range jobs {
 		list[i] = s.jobInfo(j)
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"jobs": list})
+	writeJSON(w, http.StatusOK, map[string]any{
+		"jobs":    list,
+		"evicted": map[string]int64{"ran": evicted.ran, "cached": evicted.cached},
+	})
 }
 
 func (s *Server) jobOrErr(w http.ResponseWriter, r *http.Request) *job {

@@ -27,7 +27,8 @@ var (
 )
 
 // job is one discovery run, sync or async. Poll via GET /api/jobs/{id};
-// the result stays fetchable after completion.
+// the result stays fetchable after completion until the job ages out of
+// the bounded registry (jobRetention).
 type job struct {
 	id      string
 	session string
@@ -70,10 +71,12 @@ func (j *job) finish(now time.Time, res *midas.Result, err error) {
 }
 
 // newJob registers a job for the session. Callers hold no server locks.
-func (s *Server) newJob(sessionName string) *job {
+func (s *Server) newJob(sessionName, request string, cached bool) *job {
 	j := &job{
 		id:      s.ids.JobID(),
 		session: sessionName,
+		request: request,
+		cached:  cached,
 		status:  StateRunning,
 		started: s.now(),
 	}
@@ -89,34 +92,62 @@ func (s *Server) job(id string) *job {
 	return s.jobs[id]
 }
 
-// acquire claims one discovery slot, or reports saturation/draining.
+// retire files a finished job at the back of the bounded registry and,
+// past jobRetention, evicts the job that finished earliest along with
+// its trace. Running jobs never enter the queue, so they are never
+// evicted.
+func (s *Server) retire(j *job) {
+	s.mu.Lock()
+	s.finished = append(s.finished, j)
+	var old *job
+	if len(s.finished) > jobRetention {
+		old = s.finished[0]
+		s.finished[0] = nil
+		s.finished = s.finished[1:]
+		delete(s.jobs, old.id)
+		if old.cached {
+			s.evicted.cached++
+		} else {
+			s.evicted.ran++
+		}
+	}
+	s.mu.Unlock()
+	if old != nil {
+		s.tracer.TakeTrace(old.trace)
+	}
+}
+
+// acquire admits one discovery: it claims a slot and counts the job as
+// running, or reports saturation/draining. Admission shares s.mu with
+// Drain, so a job admitted before draining began is both in Drain's
+// in-flight count and in jobsWG before Drain waits on it. Every
+// successful acquire is paired with one release.
 func (s *Server) acquire() error {
-	s.mu.RLock()
-	draining := s.draining
-	s.mu.RUnlock()
-	if draining {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.draining {
 		return errDraining
 	}
 	select {
 	case s.sem <- struct{}{}:
-		return nil
 	default:
 		s.reg.Counter("serve/shed").Inc()
 		return errSaturated
 	}
+	s.jobsWG.Add(1)
+	s.running++
+	s.reg.Gauge("serve/jobs/running").Set(float64(s.running))
+	return nil
 }
 
-func (s *Server) release() { <-s.sem }
-
-func (s *Server) trackRunning() (untrack func()) {
-	adjust := func(d int64) {
-		s.mu.Lock()
-		s.running += d
-		s.reg.Gauge("serve/jobs/running").Set(float64(s.running))
-		s.mu.Unlock()
-	}
-	adjust(1)
-	return func() { adjust(-1) }
+// release ends an admitted discovery once its body has returned.
+func (s *Server) release() {
+	s.mu.Lock()
+	s.running--
+	s.reg.Gauge("serve/jobs/running").Set(float64(s.running))
+	s.mu.Unlock()
+	<-s.sem
+	s.jobsWG.Done()
 }
 
 // execute runs one discovery under ctx, stores a completed result in
@@ -132,7 +163,6 @@ func (s *Server) trackRunning() (untrack func()) {
 // most of the detection work was served from the session's
 // incremental state.
 func (s *Server) execute(ctx context.Context, sn *session, j *job, fp uint64) {
-	defer s.trackRunning()()
 	s.logger().Info(ctx, "job started")
 	res, err := s.discover(ctx, sn.sess)
 	if err == nil && res != nil {
@@ -148,6 +178,7 @@ func (s *Server) execute(ctx context.Context, sn *session, j *job, fp uint64) {
 	}
 	j.finish(s.now(), res, err)
 	s.reg.Counter("serve/jobs/finished").Inc()
+	s.retire(j)
 	j.mu.Lock()
 	status, elapsed := j.status, j.finished.Sub(j.started)
 	j.mu.Unlock()
@@ -172,10 +203,9 @@ func (s *Server) startDiscover(ctx context.Context, sn *session, wait bool, time
 	fp := sn.sess.Fingerprint()
 	if res := sn.cached(fp); res != nil {
 		s.reg.Counter("serve/cache/hit").Inc()
-		j := s.newJob(sn.name)
-		j.request = requestID(ctx)
-		j.cached = true
+		j := s.newJob(sn.name, requestID(ctx), true)
 		j.finish(s.now(), res, nil)
+		s.retire(j)
 		s.logger().Info(ctx, "job finished", "job", j.id, "session", sn.name, "cached", true)
 		return j, nil
 	}
@@ -183,8 +213,7 @@ func (s *Server) startDiscover(ctx context.Context, sn *session, wait bool, time
 	if err := s.acquire(); err != nil {
 		return nil, err
 	}
-	j := s.newJob(sn.name)
-	j.request = requestID(ctx)
+	j := s.newJob(sn.name, requestID(ctx), false)
 
 	// The job's span starts under the request span, so the request is
 	// the root of one trace holding the job and every framework span
@@ -196,14 +225,13 @@ func (s *Server) startDiscover(ctx context.Context, sn *session, wait bool, time
 	j.trace = jspan.TraceID()
 
 	if wait {
-		// Synchronous discoveries are jobs too: they join jobsWG so
-		// Drain waits for them, and — since they run under the request
-		// context, out of reach of the baseCtx cancellation that stops
-		// async jobs at the drain deadline — baseCtx is bridged into
-		// their cancel func, so an expiring drain ends them with
-		// partial results instead of returning while they still run.
-		s.jobsWG.Add(1)
-		defer s.jobsWG.Done()
+		// Synchronous discoveries are jobs too: acquire put them in
+		// jobsWG so Drain waits for them, and — since they run under
+		// the request context, out of reach of the baseCtx cancellation
+		// that stops async jobs at the drain deadline — baseCtx is
+		// bridged into their cancel func, so an expiring drain ends
+		// them with partial results instead of returning while they
+		// still run.
 		defer s.release()
 		runCtx, cancel := withTimeout(ctx, timeout)
 		defer cancel()
@@ -231,12 +259,10 @@ func (s *Server) startDiscover(ctx context.Context, sn *session, wait bool, time
 	j.mu.Lock()
 	j.cancel, j.done = cancel, done
 	j.mu.Unlock()
-	s.jobsWG.Add(1)
 	go func() {
-		defer s.jobsWG.Done()
+		defer s.release()
 		defer close(done)
 		defer cancel()
-		defer s.release()
 		s.execute(jobCtx, sn, j, fp)
 		jspan.Arg("status", j.statusNow()).End()
 	}()

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"midas"
 	"midas/internal/obs"
 )
 
@@ -114,10 +115,26 @@ func TestRequestTraceCorrelation(t *testing.T) {
 func TestAccessAndJobLogs(t *testing.T) {
 	var buf syncBuffer
 	log := obs.NewLogger(&buf, obs.LevelDebug, obs.FormatJSON)
-	_, ts := newTestServer(t, Options{Logger: log})
+	s, ts := newTestServer(t, Options{Logger: log})
+	// Hold the job until its 202 is sent: a discovery that finished
+	// before the handler read its status would be answered 200.
+	gate := make(chan struct{})
+	run := s.discover
+	s.discover = func(ctx context.Context, sess *midas.Session) (*midas.Result, error) {
+		<-gate
+		return run(ctx, sess)
+	}
 	do(t, "POST", ts.URL+"/api/sessions", strings.NewReader(`{"name":"lg"}`), "application/json", nil)
 	postFacts(t, ts.URL, "lg", corpusFacts("alpha", 10))
-	j := discoverWait(t, ts.URL, "lg")
+	var j jobResp
+	if code := do(t, "POST", ts.URL+"/api/sessions/lg/discover", nil, "", &j); code != http.StatusAccepted {
+		t.Fatalf("discover: HTTP %d, want 202", code)
+	}
+	close(gate)
+	for deadline := time.Now().Add(30 * time.Second); j.Status == StateRunning && time.Now().Before(deadline); {
+		time.Sleep(5 * time.Millisecond)
+		do(t, "GET", ts.URL+"/api/jobs/"+j.Job, nil, "", &j)
+	}
 	if j.Status != StateDone {
 		t.Fatalf("job = %+v", j)
 	}

@@ -28,6 +28,24 @@ import (
 	"midas/internal/store"
 )
 
+// Bookkeeping bounds that keep a long-running server's memory flat.
+const (
+	// traceRetention caps the completed spans the tracer keeps while
+	// they wait to be folded into job profiles. Past it, spans age out
+	// from the trace whose first span completed earliest, front to back;
+	// a job whose trace aged out before its first /profile GET answers
+	// 404 there. A cold Slim discovery emits about 60k spans, so this
+	// holds the last couple of cold jobs' traces and many more
+	// incremental ones (folding a profile or evicting a job frees its
+	// trace early).
+	traceRetention = 1 << 17
+	// jobRetention caps the finished jobs (and their results) the
+	// server keeps for polling, result fetches and absorbs. Past it the
+	// job that finished earliest is evicted with its trace, and its ID
+	// answers 404 like an unknown one. Running jobs are never evicted.
+	jobRetention = 256
+)
+
 // Options configures a Server. The zero value serves with the defaults
 // noted per field.
 type Options struct {
@@ -65,15 +83,6 @@ type Options struct {
 	// after a restart (Options.Detect is a function and cannot be
 	// persisted). nil uses the decoded options as-is.
 	RestoreOptions func(opts *midas.Options) *midas.Options
-	// TraceRetention bounds completed spans kept by the tracer while
-	// they wait to be folded into job profiles; oldest age out first,
-	// and a job whose trace ages out before its first /profile GET
-	// answers 404 there. A discovery over S sources emits ≈4·S spans
-	// per round, so the default of 1<<17 holds the last few
-	// Slim-corpus-sized jobs (folding a profile frees its trace
-	// early). Negative retains everything.
-	TraceRetention int
-
 	// The four fields below are injection seams for the fault-injection
 	// and soak harness (internal/faultinject, cmd/midas-soak). All
 	// default to nil, and a nil seam costs production nothing beyond the
@@ -125,7 +134,12 @@ type Server struct {
 
 	mu       sync.RWMutex
 	sessions map[string]*session
+	// jobs holds every running job plus the newest jobRetention
+	// finished ones; finished queues the latter by finish, oldest
+	// first, and evicted counts the jobs aged out of it.
 	jobs     map[string]*job
+	finished []*job
+	evicted  struct{ ran, cached int64 }
 	nextSess int
 	draining bool
 
@@ -200,13 +214,7 @@ func New(opts Options) *Server {
 	if tracer == nil {
 		tracer = obs.NewTracer()
 	}
-	retention := opts.TraceRetention
-	if retention == 0 {
-		retention = 1 << 17
-	}
-	if retention > 0 {
-		tracer.SetRetention(retention)
-	}
+	tracer.SetRetention(traceRetention)
 	s := &Server{
 		opts:       opts,
 		reg:        opts.Registry.OrDefault(),

@@ -373,7 +373,9 @@ func TestSyncDiscoverDeadlinePartial(t *testing.T) {
 // expires — the job ends partial, never lost.
 func TestDrainWithInFlightJob(t *testing.T) {
 	reg := obs.New()
-	s, ts := newTestServer(t, Options{Registry: reg})
+	// One slot: a probe discover that lands before draining begins is
+	// shed (429) instead of admitted, so the in-flight count stays 1.
+	s, ts := newTestServer(t, Options{MaxInFlight: 1, Registry: reg})
 	s.discover = blockingDiscover(nil)
 	do(t, "POST", ts.URL+"/api/sessions", strings.NewReader(`{"name":"g"}`), "application/json", nil)
 	postFacts(t, ts.URL, "g", corpusFacts("alpha", 2))
