@@ -22,17 +22,14 @@
 // waiting for the exit snapshot. -trace writes a Chrome trace-event
 // JSON of every pipeline span (load in Perfetto); -trace-sample N keeps
 // only every Nth root span (with its children), bounding the trace on
-// -exp all runs. -pprof serves net/http/pprof alone, kept for
-// compatibility (-listen includes it). -hier-workers pins the
-// within-source lattice-build worker count process-wide (results are
-// bit-identical for every value; only wall time changes).
+// -exp all runs. -hier-workers pins the within-source lattice-build
+// worker count process-wide (results are bit-identical for every
+// value; only wall time changes).
 package main
 
 import (
 	"flag"
 	"fmt"
-	"net/http"
-	_ "net/http/pprof"
 	"os"
 	"time"
 
@@ -47,7 +44,6 @@ func main() {
 		seed        = flag.Int64("seed", 7, "generator seed")
 		scale       = flag.Float64("scale", 0.5, "corpus scale for fig10")
 		statsPath   = flag.String("stats", "", "write a JSON metrics snapshot of the run to this file")
-		pprofAddr   = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
 		listen      = flag.String("listen", "", "serve live telemetry (/metrics, /debug/vars, /debug/pprof) on this address (e.g. localhost:9090)")
 		tracePath   = flag.String("trace", "", "write a Chrome trace-event JSON of the run's spans to this file (load in Perfetto)")
 		traceSample = flag.Int("trace-sample", 1, "with -trace, record every Nth root span (1 = all)")
@@ -62,13 +58,6 @@ func main() {
 	}
 	if *hierWorkers != 0 {
 		hierarchy.SetDefaultWorkers(*hierWorkers)
-	}
-	if *pprofAddr != "" {
-		go func() {
-			if err := http.ListenAndServe(*pprofAddr, nil); err != nil {
-				fmt.Fprintln(os.Stderr, "midas-bench: pprof:", err)
-			}
-		}()
 	}
 	if *listen != "" {
 		addr, err := obs.ListenAndServe(*listen, obs.Default())

@@ -15,7 +15,7 @@
 //	midas -facts extractions.tsv [-kb existing.tsv] [-top 20]
 //	      [-min-conf 0.7] [-fp 10 -fc 0.001 -fd 0.01 -fv 0.1]
 //	      [-stats run-stats.json] [-listen localhost:9090]
-//	      [-trace run-trace.json] [-pprof localhost:6060]
+//	      [-trace run-trace.json]
 //
 // -listen serves live telemetry while the run is in flight: /metrics
 // (OpenMetrics text for any Prometheus-compatible scraper), /debug/vars
@@ -29,8 +29,6 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"net/http"
-	_ "net/http/pprof"
 	"os"
 	"strconv"
 	"strings"
@@ -55,7 +53,6 @@ func main() {
 		report    = flag.String("report", "", "write a report file (.md or .csv by extension)")
 		budget    = flag.Int("budget", 0, "keep at most this many slices (0 = all)")
 		statsPath = flag.String("stats", "", "write a JSON metrics snapshot (phase timings, pruning counters) to this file")
-		pprofAddr = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
 		listen    = flag.String("listen", "", "serve live telemetry (/metrics, /debug/vars, /debug/pprof) on this address (e.g. localhost:9090)")
 		tracePath = flag.String("trace", "", "write a Chrome trace-event JSON of the run's spans to this file (load in Perfetto)")
 		logLevel  = flag.String("log-level", "info", "log verbosity: debug|info|warn|error|off")
@@ -69,7 +66,6 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	servePprof(*pprofAddr)
 	if *listen != "" {
 		addr, err := midas.DefaultMetrics().Serve(*listen)
 		if err != nil {
@@ -231,19 +227,6 @@ func loadFacts(corpus *midas.Corpus, path string) error {
 		corpus.Add(fact)
 	}
 	return sc.Err()
-}
-
-// servePprof exposes net/http/pprof on addr (no-op when addr is empty)
-// so long discovery runs can be profiled live.
-func servePprof(addr string) {
-	if addr == "" {
-		return
-	}
-	go func() {
-		if err := http.ListenAndServe(addr, nil); err != nil {
-			fmt.Fprintln(os.Stderr, "midas: pprof:", err)
-		}
-	}()
 }
 
 func fatal(err error) {

@@ -169,15 +169,15 @@ func Equal[E Elem](a, b []E) bool {
 	return true
 }
 
-// FNV-1a 64-bit parameters.
+// FNV-1a 64-bit parameters, shared with kb's triple fingerprints.
 const (
-	fnvOffset64 = 14695981039346656037
-	fnvPrime64  = 1099511628211
+	FNVOffset64 = 14695981039346656037
+	FNVPrime64  = 1099511628211
 )
 
 // FingerprintSeed is the initial FNV-1a state for AppendFingerprint64
 // chains; Fingerprint64(s) == AppendFingerprint64(FingerprintSeed, s).
-const FingerprintSeed = uint64(fnvOffset64)
+const FingerprintSeed = uint64(FNVOffset64)
 
 // Fingerprint64 hashes a sorted slice with FNV-1a over each element's
 // eight little-endian bytes. Equal sets produce equal fingerprints;
@@ -195,7 +195,7 @@ func AppendFingerprint64[E Elem](h uint64, s []E) uint64 {
 		w := uint64(e)
 		for b := 0; b < 8; b++ {
 			h ^= w & 0xff
-			h *= fnvPrime64
+			h *= FNVPrime64
 			w >>= 8
 		}
 	}

@@ -4,422 +4,143 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"log/slog"
 	"math"
-	"strconv"
-	"sync"
+	"strings"
 	"sync/atomic"
 	"time"
-	"unicode/utf8"
 )
 
-// Logger is the pipeline's dependency-free structured logger. Like the
-// metric types in this package it is nil-tolerant (every method no-ops
-// on a nil receiver, so instrumented code logs unconditionally), safe
-// for concurrent use, and falls back to a process-wide default via
-// OrDefault — the exact contract of Registry and Tracer.
-//
-// Each line is one record encoded as logfmt or JSON with a fixed,
-// deterministic field order:
-//
-//	ts, level, msg, [trace, span], context fields, bound fields, call fields
-//
-// trace and span attach automatically whenever the context carries an
-// obs.Span, and request/job/session identifiers travel the same way via
-// ContextWithLogFields — so every line written under one request is
-// correlatable with its spans and with each other without threading
-// IDs through call signatures.
-type Logger struct {
-	w     io.Writer
-	mu    *sync.Mutex
-	level Level
-	json  bool
-	bound []logField
-	now   func() time.Time // test seam; nil = time.Now
-}
+// levelOff is above every level the pipeline logs at: a handler at
+// levelOff writes nothing.
+const levelOff = slog.Level(math.MaxInt)
 
-// Level orders log severities. The numeric values match log/slog so a
-// future bridge is mechanical.
-type Level int8
-
-const (
-	LevelDebug Level = -4
-	LevelInfo  Level = 0
-	LevelWarn  Level = 4
-	LevelError Level = 8
-	// LevelOff disables every record; use it for quiet benchmark runs.
-	LevelOff Level = 127
+// levels and formats hold the values every binary's -log-level and
+// -log-format flags accept; a format maps to whether it is JSON.
+var (
+	levels = map[string]slog.Level{
+		"debug": slog.LevelDebug, "info": slog.LevelInfo, "warn": slog.LevelWarn, "warning": slog.LevelWarn,
+		"error": slog.LevelError, "off": levelOff, "none": levelOff,
+	}
+	formats = map[string]bool{"logfmt": false, "": false, "json": true}
 )
 
-// String returns the lowercase level name used in encoded records.
-func (l Level) String() string {
-	switch {
-	case l >= LevelOff:
-		return "off"
-	case l >= LevelError:
-		return "error"
-	case l >= LevelWarn:
-		return "warn"
-	case l >= LevelInfo:
-		return "info"
-	default:
-		return "debug"
+// NewHandler returns a handler writing records at or above level to w,
+// as one JSON object per line when json is set and as logfmt otherwise.
+// Each record is one line with a fixed, deterministic field order:
+//
+//	ts, level, msg, [trace, span], context fields, With fields, call fields
+//
+// trace and span attach whenever the context carries an obs.Span, and
+// request/job/session IDs travel the same way via ContextWithLogFields,
+// so every line written under one request correlates with its spans
+// without threading IDs through call signatures. Safe for concurrent
+// use; a nil context is tolerated.
+func NewHandler(w io.Writer, level slog.Leveler, json bool) slog.Handler {
+	opts := &slog.HandlerOptions{Level: level, ReplaceAttr: replaceAttr}
+	if json {
+		return &ctxHandler{Handler: slog.NewJSONHandler(w, opts)}
 	}
+	return &ctxHandler{Handler: slog.NewTextHandler(w, opts)}
 }
 
-// ParseLevel parses "debug", "info", "warn", "error", or "off".
-func ParseLevel(s string) (Level, error) {
-	switch s {
-	case "debug":
-		return LevelDebug, nil
-	case "info":
-		return LevelInfo, nil
-	case "warn", "warning":
-		return LevelWarn, nil
-	case "error":
-		return LevelError, nil
-	case "off", "none":
-		return LevelOff, nil
+// replaceAttr renames time to ts, lowercases the level, and writes
+// times (UTC, RFC 3339 with nanoseconds) and durations (Go syntax) as
+// strings in both encodings.
+func replaceAttr(groups []string, a slog.Attr) slog.Attr {
+	switch a.Value.Kind() {
+	case slog.KindTime:
+		a.Value = slog.StringValue(a.Value.Time().UTC().Format(time.RFC3339Nano))
+	case slog.KindDuration:
+		a.Value = slog.StringValue(a.Value.Duration().String())
 	}
-	return LevelInfo, fmt.Errorf("unknown log level %q (want debug|info|warn|error|off)", s)
-}
-
-// Format selects the line encoding.
-type Format int
-
-const (
-	// FormatLogfmt writes key=value pairs, quoting values that need it —
-	// the human-first encoding.
-	FormatLogfmt Format = iota
-	// FormatJSON writes one JSON object per line with fields in record
-	// order — the machine-first encoding (`jq`-able access logs).
-	FormatJSON
-)
-
-// ParseFormat parses "logfmt" or "json".
-func ParseFormat(s string) (Format, error) {
-	switch s {
-	case "logfmt", "":
-		return FormatLogfmt, nil
-	case "json":
-		return FormatJSON, nil
+	if len(groups) == 0 && a.Key == slog.TimeKey {
+		a.Key = "ts"
+	} else if len(groups) == 0 && a.Key == slog.LevelKey {
+		a.Value = slog.StringValue(strings.ToLower(a.Value.String()))
 	}
-	return FormatLogfmt, fmt.Errorf("unknown log format %q (want logfmt|json)", s)
+	return a
 }
 
-type logField struct {
-	key   string
-	value any
+// ctxHandler adds the context's correlation fields to each record.
+// With attributes are held back so they follow the context fields.
+type ctxHandler struct {
+	slog.Handler
+	bound []slog.Attr
 }
 
-// NewLogger returns a logger writing records at or above level to w in
-// the given format. Writes are serialized by an internal mutex, so one
-// logger may be shared by any number of goroutines.
-func NewLogger(w io.Writer, level Level, format Format) *Logger {
-	return &Logger{w: w, mu: &sync.Mutex{}, level: level, json: format == FormatJSON}
-}
-
-// NewLoggerFromFlags builds a logger from the string forms the binaries
-// accept as -log-level / -log-format.
-func NewLoggerFromFlags(w io.Writer, level, format string) (*Logger, error) {
-	lv, err := ParseLevel(level)
-	if err != nil {
-		return nil, err
-	}
-	f, err := ParseFormat(format)
-	if err != nil {
-		return nil, err
-	}
-	return NewLogger(w, lv, f), nil
-}
-
-// InstallDefaultLogger parses the -log-level/-log-format flag values
-// every binary accepts and installs the resulting logger process-wide,
-// so instrumented packages (which log via OrDefault) light up.
-func InstallDefaultLogger(w io.Writer, level, format string) error {
-	l, err := NewLoggerFromFlags(w, level, format)
-	if err != nil {
-		return err
-	}
-	SetDefaultLogger(l)
-	return nil
-}
-
-// defaultLogger is the process-wide logger, nil (logging disabled)
-// until a binary installs one — the same lifecycle as the default
-// tracer.
-var defaultLogger atomic.Pointer[Logger]
-
-// DefaultLogger returns the process-wide logger, or nil when logging is
-// disabled (the default).
-func DefaultLogger() *Logger { return defaultLogger.Load() }
-
-// SetDefaultLogger installs l as the process-wide logger (nil disables).
-func SetDefaultLogger(l *Logger) { defaultLogger.Store(l) }
-
-// OrDefault returns l, or the process-wide default logger when l is nil
-// (which may itself be nil, i.e. logging disabled).
-func (l *Logger) OrDefault() *Logger {
-	if l == nil {
-		return DefaultLogger()
-	}
-	return l
-}
-
-// Enabled reports whether records at lv would be written.
-func (l *Logger) Enabled(lv Level) bool {
-	return l != nil && lv >= l.level
-}
-
-// With returns a logger that attaches the given key/value pairs (after
-// the context fields, before per-call fields) to every record. The
-// receiver is unchanged; nil stays nil.
-func (l *Logger) With(kv ...any) *Logger {
-	if l == nil || len(kv) == 0 {
-		return l
-	}
-	c := *l
-	c.bound = append(append([]logField(nil), l.bound...), pairFields(kv)...)
-	return &c
-}
-
-// pairFields folds a kv list into fields; a trailing odd value is
-// recorded under the "!BADKEY" key instead of being dropped, so a
-// malformed call site is visible in the output rather than silent.
-func pairFields(kv []any) []logField {
-	fields := make([]logField, 0, (len(kv)+1)/2)
-	for i := 0; i+1 < len(kv); i += 2 {
-		key, ok := kv[i].(string)
-		if !ok {
-			key = fmt.Sprintf("!BADKEY(%v)", kv[i])
+func (h *ctxHandler) Handle(ctx context.Context, r slog.Record) error {
+	out := slog.NewRecord(r.Time, r.Level, r.Message, r.PC)
+	if ctx != nil {
+		if s := SpanFromContext(ctx); s != nil {
+			out.AddAttrs(slog.String("trace", FormatTraceID(s.TraceID())), slog.String("span", FormatTraceID(s.ID())))
 		}
-		fields = append(fields, logField{key: key, value: kv[i+1]})
+		fields, _ := ctx.Value(logFieldsKey{}).([]slog.Attr)
+		out.AddAttrs(fields...)
 	}
-	if len(kv)%2 == 1 {
-		fields = append(fields, logField{key: "!BADKEY", value: kv[len(kv)-1]})
-	}
-	return fields
+	out.AddAttrs(h.bound...)
+	r.Attrs(func(a slog.Attr) bool { out.AddAttrs(a); return true })
+	return h.Handler.Handle(ctx, out)
+}
+
+func (h *ctxHandler) WithAttrs(as []slog.Attr) slog.Handler {
+	return &ctxHandler{Handler: h.Handler, bound: append(h.bound[:len(h.bound):len(h.bound)], as...)}
+}
+
+// WithGroup commits the held-back attributes first, so they stay
+// outside the group; the context fields of later records land inside.
+func (h *ctxHandler) WithGroup(name string) slog.Handler {
+	return &ctxHandler{Handler: h.Handler.WithAttrs(h.bound).WithGroup(name)}
 }
 
 type logFieldsKey struct{}
 
-// ContextWithLogFields returns a context carrying the key/value pairs;
-// every record written under it attaches them automatically, after any
-// fields already carried. This is how request, job, and session IDs
-// reach each log line of the serving path.
+// ContextWithLogFields returns a context carrying the key/value pairs
+// (paired as slog.Logger.Log pairs its arguments); every record written
+// under it attaches them, after any fields already carried. This is
+// how request, job, and session IDs reach each log line of the serving
+// path.
 func ContextWithLogFields(ctx context.Context, kv ...any) context.Context {
 	if len(kv) == 0 {
 		return ctx
 	}
-	prev, _ := ctx.Value(logFieldsKey{}).([]logField)
-	merged := append(append([]logField(nil), prev...), pairFields(kv)...)
+	prev, _ := ctx.Value(logFieldsKey{}).([]slog.Attr)
+	merged := append(prev[:len(prev):len(prev)], slog.Group("", kv...).Value.Group()...)
 	return context.WithValue(ctx, logFieldsKey{}, merged)
 }
 
-// Debug writes a debug record. ctx may be nil.
-func (l *Logger) Debug(ctx context.Context, msg string, kv ...any) {
-	l.Log(ctx, LevelDebug, msg, kv...)
+// discardLogger stands in until a binary installs a logger. It is
+// deliberately not slog.Default(), which writes to stderr.
+var (
+	discardLogger = slog.New(NewHandler(io.Discard, levelOff, false))
+	defaultLogger atomic.Pointer[slog.Logger]
+)
+
+// DefaultLogger returns the process-wide logger the pipeline and
+// serving path write through; it discards every record until
+// SetDefaultLogger or InstallDefaultLogger installs one.
+func DefaultLogger() *slog.Logger {
+	if l := defaultLogger.Load(); l != nil {
+		return l
+	}
+	return discardLogger
 }
 
-// Info writes an info record. ctx may be nil.
-func (l *Logger) Info(ctx context.Context, msg string, kv ...any) {
-	l.Log(ctx, LevelInfo, msg, kv...)
-}
+// SetDefaultLogger installs l as the process-wide logger; nil restores
+// the discarding default. slog.Default() is never touched.
+func SetDefaultLogger(l *slog.Logger) { defaultLogger.Store(l) }
 
-// Warn writes a warning record. ctx may be nil.
-func (l *Logger) Warn(ctx context.Context, msg string, kv ...any) {
-	l.Log(ctx, LevelWarn, msg, kv...)
-}
-
-// Error writes an error record. ctx may be nil.
-func (l *Logger) Error(ctx context.Context, msg string, kv ...any) {
-	l.Log(ctx, LevelError, msg, kv...)
-}
-
-// Log writes one record at lv. No-op on a nil logger or below the
-// logger's level.
-func (l *Logger) Log(ctx context.Context, lv Level, msg string, kv ...any) {
-	if !l.Enabled(lv) {
-		return
+// InstallDefaultLogger parses the -log-level/-log-format flag values
+// and installs the resulting logger process-wide.
+func InstallDefaultLogger(w io.Writer, level, format string) error {
+	lv, ok := levels[level]
+	if !ok {
+		return fmt.Errorf("unknown log level %q (want debug|info|warn|error|off)", level)
 	}
-	now := time.Now
-	if l.now != nil {
-		now = l.now
+	json, ok := formats[format]
+	if !ok {
+		return fmt.Errorf("unknown log format %q (want logfmt|json)", format)
 	}
-	buf := make([]byte, 0, 256)
-	if l.json {
-		buf = append(buf, '{')
-	}
-	buf = l.appendField(buf, "ts", now().UTC().Format(time.RFC3339Nano), true)
-	buf = l.appendField(buf, "level", lv.String(), false)
-	buf = l.appendField(buf, "msg", msg, false)
-	if ctx != nil {
-		if s := SpanFromContext(ctx); s != nil {
-			buf = l.appendField(buf, "trace", formatSpanID(s.TraceID()), false)
-			buf = l.appendField(buf, "span", formatSpanID(s.ID()), false)
-		}
-		if ctxFields, _ := ctx.Value(logFieldsKey{}).([]logField); len(ctxFields) > 0 {
-			for _, f := range ctxFields {
-				buf = l.appendField(buf, f.key, f.value, false)
-			}
-		}
-	}
-	for _, f := range l.bound {
-		buf = l.appendField(buf, f.key, f.value, false)
-	}
-	for _, f := range pairFields(kv) {
-		buf = l.appendField(buf, f.key, f.value, false)
-	}
-	if l.json {
-		buf = append(buf, '}')
-	}
-	buf = append(buf, '\n')
-	l.mu.Lock()
-	l.w.Write(buf)
-	l.mu.Unlock()
-}
-
-// formatSpanID renders a span/trace ID the way the serving path logs
-// and reports them: fixed-width hex, grep-friendly.
-func formatSpanID(id int64) string {
-	return fmt.Sprintf("%08x", uint64(id))
-}
-
-// FormatTraceID renders a trace (or span) ID exactly as log records
-// carry it, so API responses and log lines cross-reference verbatim.
-func FormatTraceID(id int64) string { return formatSpanID(id) }
-
-func (l *Logger) appendField(buf []byte, key string, value any, first bool) []byte {
-	if !first {
-		if l.json {
-			buf = append(buf, ',')
-		} else {
-			buf = append(buf, ' ')
-		}
-	}
-	if l.json {
-		buf = appendJSONString(buf, key)
-		buf = append(buf, ':')
-		return appendJSONValue(buf, value)
-	}
-	buf = append(buf, key...)
-	buf = append(buf, '=')
-	return appendLogfmtValue(buf, value)
-}
-
-// appendJSONValue encodes value for the JSON encoder: numbers and bools
-// natively, everything else as a string.
-func appendJSONValue(buf []byte, value any) []byte {
-	switch v := value.(type) {
-	case bool:
-		return strconv.AppendBool(buf, v)
-	case int:
-		return strconv.AppendInt(buf, int64(v), 10)
-	case int32:
-		return strconv.AppendInt(buf, int64(v), 10)
-	case int64:
-		return strconv.AppendInt(buf, v, 10)
-	case uint64:
-		return strconv.AppendUint(buf, v, 10)
-	case float32:
-		return appendJSONFloat(buf, float64(v))
-	case float64:
-		return appendJSONFloat(buf, v)
-	default:
-		return appendJSONString(buf, stringify(value))
-	}
-}
-
-// appendJSONFloat keeps the record valid JSON for the values
-// encoding/json rejects (NaN, ±Inf) by quoting them.
-func appendJSONFloat(buf []byte, v float64) []byte {
-	if math.IsNaN(v) || math.IsInf(v, 0) {
-		return appendJSONString(buf, strconv.FormatFloat(v, 'g', -1, 64))
-	}
-	return strconv.AppendFloat(buf, v, 'g', -1, 64)
-}
-
-func appendLogfmtValue(buf []byte, value any) []byte {
-	switch v := value.(type) {
-	case bool:
-		return strconv.AppendBool(buf, v)
-	case int:
-		return strconv.AppendInt(buf, int64(v), 10)
-	case int32:
-		return strconv.AppendInt(buf, int64(v), 10)
-	case int64:
-		return strconv.AppendInt(buf, v, 10)
-	case uint64:
-		return strconv.AppendUint(buf, v, 10)
-	case float32:
-		return strconv.AppendFloat(buf, float64(v), 'g', -1, 64)
-	case float64:
-		return strconv.AppendFloat(buf, v, 'g', -1, 64)
-	}
-	s := stringify(value)
-	if logfmtNeedsQuotes(s) {
-		return strconv.AppendQuote(buf, s)
-	}
-	return append(buf, s...)
-}
-
-// stringify renders the non-numeric value kinds: strings as-is, errors
-// and Stringers via their own rendering, durations via String, and
-// anything else through fmt.
-func stringify(value any) string {
-	switch v := value.(type) {
-	case string:
-		return v
-	case error:
-		return v.Error()
-	case time.Duration:
-		return v.String()
-	case time.Time:
-		return v.UTC().Format(time.RFC3339Nano)
-	case fmt.Stringer:
-		return v.String()
-	case nil:
-		return "<nil>"
-	default:
-		return fmt.Sprintf("%v", v)
-	}
-}
-
-func logfmtNeedsQuotes(s string) bool {
-	if s == "" {
-		return true
-	}
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		if c <= ' ' || c == '=' || c == '"' || c >= utf8.RuneSelf {
-			return true
-		}
-	}
-	return false
-}
-
-// appendJSONString appends s as a JSON string literal, escaping the
-// characters JSON requires (quote, backslash, control bytes).
-func appendJSONString(buf []byte, s string) []byte {
-	buf = append(buf, '"')
-	for _, r := range s {
-		switch r {
-		case '"':
-			buf = append(buf, '\\', '"')
-		case '\\':
-			buf = append(buf, '\\', '\\')
-		case '\n':
-			buf = append(buf, '\\', 'n')
-		case '\r':
-			buf = append(buf, '\\', 'r')
-		case '\t':
-			buf = append(buf, '\\', 't')
-		default:
-			if r < 0x20 {
-				buf = append(buf, fmt.Sprintf(`\u%04x`, r)...)
-			} else {
-				buf = utf8.AppendRune(buf, r)
-			}
-		}
-	}
-	return append(buf, '"')
+	SetDefaultLogger(slog.New(NewHandler(w, lv, json)))
+	return nil
 }

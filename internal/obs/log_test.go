@@ -5,23 +5,27 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"log/slog"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 )
 
-// fixedClock pins a logger's timestamps so encoded records are exact.
-func fixedClock(l *Logger) *Logger {
-	at := time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC)
-	l.now = func() time.Time { return at }
-	return l
+// logAt hands h one record stamped at a fixed time, so encoded records
+// are exact.
+func logAt(t *testing.T, h slog.Handler, ctx context.Context, lv slog.Level, msg string, kv ...any) {
+	t.Helper()
+	r := slog.NewRecord(time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC), lv, msg, 0)
+	r.Add(kv...)
+	if err := h.Handle(ctx, r); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestLoggerLogfmtEncoding(t *testing.T) {
 	var buf bytes.Buffer
-	l := fixedClock(NewLogger(&buf, LevelDebug, FormatLogfmt))
-	l.Info(nil, "session created", "session", "alpha", "facts", 42, "coverage", 0.625,
+	logAt(t, NewHandler(&buf, slog.LevelDebug, false), nil, slog.LevelInfo, "session created",
+		"session", "alpha", "facts", 42, "coverage", 0.625,
 		"dur", 150*time.Millisecond, "quoted", "two words", "empty", "", "ok", true)
 	got := buf.String()
 	want := `ts=2026-08-08T12:00:00Z level=info msg="session created" session=alpha facts=42 coverage=0.625 dur=150ms quoted="two words" empty="" ok=true` + "\n"
@@ -32,9 +36,13 @@ func TestLoggerLogfmtEncoding(t *testing.T) {
 
 func TestLoggerJSONEncoding(t *testing.T) {
 	var buf bytes.Buffer
-	l := fixedClock(NewLogger(&buf, LevelDebug, FormatJSON))
-	l.Error(nil, `escape "this"`, "err", errors.New("boom\nline2"), "n", int64(7))
+	logAt(t, NewHandler(&buf, slog.LevelDebug, true), nil, slog.LevelError, `escape "this"`,
+		"err", errors.New("boom\nline2"), "n", int64(7))
 	line := buf.String()
+	want := `{"ts":"2026-08-08T12:00:00Z","level":"error","msg":"escape \"this\"","err":"boom\nline2","n":7}` + "\n"
+	if line != want {
+		t.Errorf("json record:\ngot  %q\nwant %q", line, want)
+	}
 	var rec map[string]any
 	if err := json.Unmarshal([]byte(line), &rec); err != nil {
 		t.Fatalf("record is not valid JSON: %v\n%s", err, line)
@@ -42,51 +50,70 @@ func TestLoggerJSONEncoding(t *testing.T) {
 	if rec["level"] != "error" || rec["msg"] != `escape "this"` || rec["err"] != "boom\nline2" || rec["n"] != float64(7) {
 		t.Errorf("decoded record = %v", rec)
 	}
-	// Deterministic field order: ts first, then level, msg.
-	if !strings.HasPrefix(line, `{"ts":"2026-08-08T12:00:00Z","level":"error","msg":`) {
-		t.Errorf("field order: %s", line)
-	}
 }
 
 func TestLoggerLevelFiltering(t *testing.T) {
 	var buf bytes.Buffer
-	l := NewLogger(&buf, LevelWarn, FormatLogfmt)
-	l.Debug(nil, "nope")
-	l.Info(nil, "nope")
-	l.Warn(nil, "yes")
-	l.Error(nil, "yes")
+	l := slog.New(NewHandler(&buf, slog.LevelWarn, false))
+	l.Debug("nope")
+	l.Info("nope")
+	l.Warn("yes")
+	l.Error("yes")
 	if got := strings.Count(buf.String(), "\n"); got != 2 {
 		t.Errorf("records written = %d, want 2:\n%s", got, buf.String())
 	}
-	if l.Enabled(LevelInfo) || !l.Enabled(LevelError) {
+	ctx := context.Background()
+	if l.Enabled(ctx, slog.LevelInfo) || !l.Enabled(ctx, slog.LevelError) {
 		t.Error("Enabled disagrees with level filtering")
 	}
 	buf.Reset()
-	off := NewLogger(&buf, LevelOff, FormatLogfmt)
-	off.Error(nil, "nope")
+	off := slog.New(NewHandler(&buf, levelOff, false))
+	off.Error("nope")
 	if buf.Len() != 0 {
-		t.Errorf("LevelOff still wrote: %s", buf.String())
+		t.Errorf("levelOff still wrote: %s", buf.String())
 	}
 }
 
-func TestLoggerNilSafety(t *testing.T) {
-	var l *Logger
-	l.Info(context.Background(), "into the void", "k", "v")
-	l.With("k", "v").Error(nil, "still nothing")
-	if l.Enabled(LevelError) {
-		t.Error("nil logger reports enabled")
+// TestLoggerOffByDefault: a process that never installs a logger logs
+// nothing, -log-level off logs nothing, and installing never touches
+// slog.Default() (which would route records to stderr through the log
+// package).
+func TestLoggerOffByDefault(t *testing.T) {
+	ctx := context.Background()
+	levels := []slog.Level{slog.LevelDebug, slog.LevelInfo, slog.LevelWarn, slog.LevelError, slog.LevelError + 100}
+	for _, lv := range levels {
+		if DefaultLogger().Enabled(ctx, lv) {
+			t.Errorf("fresh default logger enabled at %v", lv)
+		}
 	}
-	if l.OrDefault() != nil {
-		t.Error("OrDefault with no default installed should stay nil")
+	before := slog.Default()
+	var buf bytes.Buffer
+	if err := InstallDefaultLogger(&buf, "off", "json"); err != nil {
+		t.Fatal(err)
+	}
+	defer SetDefaultLogger(nil)
+	for _, lv := range levels {
+		if DefaultLogger().Enabled(ctx, lv) {
+			t.Errorf("-log-level off enabled at %v", lv)
+		}
+	}
+	DefaultLogger().Error("nope")
+	if err := InstallDefaultLogger(&buf, "debug", "logfmt"); err != nil {
+		t.Fatal(err)
+	}
+	if slog.Default() != before {
+		t.Error("InstallDefaultLogger replaced slog.Default()")
+	}
+	if buf.Len() != 0 {
+		t.Errorf("disabled logger wrote: %s", buf.String())
 	}
 }
 
 func TestLoggerDefaultInstall(t *testing.T) {
 	var buf bytes.Buffer
-	SetDefaultLogger(NewLogger(&buf, LevelInfo, FormatLogfmt))
+	SetDefaultLogger(slog.New(NewHandler(&buf, slog.LevelInfo, false)))
 	defer SetDefaultLogger(nil)
-	var l *Logger
-	l.OrDefault().Info(nil, "via default")
+	DefaultLogger().Info("via default")
 	if !strings.Contains(buf.String(), "msg="+`"via default"`) {
 		t.Errorf("default logger did not receive the record: %q", buf.String())
 	}
@@ -94,10 +121,10 @@ func TestLoggerDefaultInstall(t *testing.T) {
 
 func TestLoggerWithAndContextFields(t *testing.T) {
 	var buf bytes.Buffer
-	l := fixedClock(NewLogger(&buf, LevelDebug, FormatLogfmt)).With("component", "serve")
+	h := NewHandler(&buf, slog.LevelDebug, false).WithAttrs([]slog.Attr{slog.String("component", "serve")})
 	ctx := ContextWithLogFields(context.Background(), "request", "000007", "session", "alpha")
 	ctx = ContextWithLogFields(ctx, "job", 3)
-	l.Info(ctx, "job started", "cached", false)
+	logAt(t, h, ctx, slog.LevelInfo, "job started", "cached", false)
 	want := `ts=2026-08-08T12:00:00Z level=info msg="job started" request=000007 session=alpha job=3 component=serve cached=false` + "\n"
 	if got := buf.String(); got != want {
 		t.Errorf("record:\ngot  %q\nwant %q", got, want)
@@ -106,93 +133,52 @@ func TestLoggerWithAndContextFields(t *testing.T) {
 
 func TestLoggerSpanCorrelation(t *testing.T) {
 	var buf bytes.Buffer
-	l := NewLogger(&buf, LevelDebug, FormatJSON)
+	l := slog.New(NewHandler(&buf, slog.LevelDebug, true))
 	tr := NewTracer()
 	ctx, root := tr.StartSpan(context.Background(), "request")
 	ctx, child := tr.StartSpan(ctx, "framework/run")
-	l.Info(ctx, "round done")
+	l.InfoContext(ctx, "round done")
 	child.End()
 	root.End()
 	var rec map[string]any
 	if err := json.Unmarshal(buf.Bytes(), &rec); err != nil {
 		t.Fatal(err)
 	}
-	if rec["trace"] != formatSpanID(root.ID()) {
-		t.Errorf("trace field = %v, want root id %s", rec["trace"], formatSpanID(root.ID()))
+	if rec["trace"] != FormatTraceID(root.ID()) {
+		t.Errorf("trace field = %v, want root id %s", rec["trace"], FormatTraceID(root.ID()))
 	}
-	if rec["span"] != formatSpanID(child.ID()) {
-		t.Errorf("span field = %v, want current span id %s", rec["span"], formatSpanID(child.ID()))
+	if rec["span"] != FormatTraceID(child.ID()) {
+		t.Errorf("span field = %v, want current span id %s", rec["span"], FormatTraceID(child.ID()))
 	}
-}
-
-func TestLoggerBadKeyPairs(t *testing.T) {
-	var buf bytes.Buffer
-	l := NewLogger(&buf, LevelDebug, FormatLogfmt)
-	l.Info(nil, "odd", "key-without-value")
-	if !strings.Contains(buf.String(), "!BADKEY=key-without-value") {
-		t.Errorf("trailing odd value not surfaced: %q", buf.String())
-	}
-	buf.Reset()
-	l.Info(nil, "nonstring", 42, "v")
-	if !strings.Contains(buf.String(), "!BADKEY(42)=v") {
-		t.Errorf("non-string key not surfaced: %q", buf.String())
+	if !strings.Contains(buf.String(), `"msg":"round done","trace":`) {
+		t.Errorf("trace must follow msg: %s", buf.String())
 	}
 }
 
 func TestParseLevelAndFormat(t *testing.T) {
-	for in, want := range map[string]Level{
-		"debug": LevelDebug, "info": LevelInfo, "warn": LevelWarn,
-		"warning": LevelWarn, "error": LevelError, "off": LevelOff, "none": LevelOff,
+	for in, want := range map[string]slog.Level{
+		"debug": slog.LevelDebug, "info": slog.LevelInfo, "warn": slog.LevelWarn,
+		"warning": slog.LevelWarn, "error": slog.LevelError, "off": levelOff, "none": levelOff,
 	} {
-		got, err := ParseLevel(in)
-		if err != nil || got != want {
-			t.Errorf("ParseLevel(%q) = %v, %v", in, got, err)
+		got, ok := levels[in]
+		if !ok || got != want {
+			t.Errorf("level %q = %v, %v", in, got, ok)
 		}
 	}
-	if _, err := ParseLevel("verbose"); err == nil {
-		t.Error("ParseLevel should reject unknown levels")
+	if js, ok := formats["json"]; !ok || !js {
+		t.Errorf("format json = %v, %v", js, ok)
 	}
-	if f, err := ParseFormat("json"); err != nil || f != FormatJSON {
-		t.Errorf("ParseFormat(json) = %v, %v", f, err)
+	if js, ok := formats[""]; !ok || js {
+		t.Errorf("format empty = %v, %v", js, ok)
 	}
-	if f, err := ParseFormat(""); err != nil || f != FormatLogfmt {
-		t.Errorf("ParseFormat(empty) = %v, %v", f, err)
+	defer SetDefaultLogger(nil)
+	if err := InstallDefaultLogger(&bytes.Buffer{}, "info", "json"); err != nil {
+		t.Errorf("InstallDefaultLogger: %v", err)
 	}
-	if _, err := ParseFormat("xml"); err == nil {
-		t.Error("ParseFormat should reject unknown formats")
+	if err := InstallDefaultLogger(&bytes.Buffer{}, "verbose", "json"); err == nil {
+		t.Error("InstallDefaultLogger should reject unknown levels")
 	}
-	if _, err := NewLoggerFromFlags(&bytes.Buffer{}, "info", "json"); err != nil {
-		t.Errorf("NewLoggerFromFlags: %v", err)
-	}
-	if _, err := NewLoggerFromFlags(&bytes.Buffer{}, "nope", "json"); err == nil {
-		t.Error("NewLoggerFromFlags should propagate level errors")
-	}
-}
-
-// TestLoggerConcurrent hammers one logger from many goroutines; under
-// -race this proves writes are serialized, and every line must stay
-// intact (no interleaving) and valid JSON.
-func TestLoggerConcurrent(t *testing.T) {
-	var buf bytes.Buffer
-	l := NewLogger(&buf, LevelDebug, FormatJSON)
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 50; i++ {
-				l.Info(nil, "tick", "g", g, "i", i)
-			}
-		}(g)
-	}
-	wg.Wait()
-	lines := strings.Split(strings.TrimSuffix(buf.String(), "\n"), "\n")
-	if len(lines) != 8*50 {
-		t.Fatalf("line count = %d, want %d", len(lines), 8*50)
-	}
-	for _, line := range lines {
-		if !json.Valid([]byte(line)) {
-			t.Fatalf("interleaved or corrupt record: %q", line)
-		}
+	if err := InstallDefaultLogger(&bytes.Buffer{}, "info", "xml"); err == nil {
+		t.Error("InstallDefaultLogger should reject unknown formats")
 	}
 }

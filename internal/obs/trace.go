@@ -143,6 +143,11 @@ func SpanFromContext(ctx context.Context) *Span {
 	return s
 }
 
+// FormatTraceID renders a trace (or span) ID exactly as log records
+// carry it — fixed-width hex, grep-friendly — so API responses and log
+// lines cross-reference verbatim.
+func FormatTraceID(id int64) string { return fmt.Sprintf("%08x", uint64(id)) }
+
 // StartSpan starts a span on t, parented to the current span of ctx (a
 // root span when ctx has none), and returns the derived context carrying
 // the new span. On a nil tracer it returns ctx unchanged and a nil span

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"log/slog"
 	"net/http"
 	"strings"
 	"sync"
@@ -114,7 +115,7 @@ func TestRequestTraceCorrelation(t *testing.T) {
 // grep chain an operator follows from access log to job log.
 func TestAccessAndJobLogs(t *testing.T) {
 	var buf syncBuffer
-	log := obs.NewLogger(&buf, obs.LevelDebug, obs.FormatJSON)
+	log := slog.New(obs.NewHandler(&buf, slog.LevelDebug, true))
 	s, ts := newTestServer(t, Options{Logger: log})
 	// Hold the job until its 202 is sent: a discovery that finished
 	// before the handler read its status would be answered 200.
@@ -310,7 +311,7 @@ func TestReadyzLifecycle(t *testing.T) {
 func TestDrainKeepsObservability(t *testing.T) {
 	reg := obs.New()
 	var buf syncBuffer
-	log := obs.NewLogger(&buf, obs.LevelDebug, obs.FormatJSON)
+	log := slog.New(obs.NewHandler(&buf, slog.LevelDebug, true))
 	s, ts := newTestServer(t, Options{Registry: reg, Logger: log})
 	s.SetReady(true)
 	rc := obs.NewRuntimeCollector(reg, time.Hour)
