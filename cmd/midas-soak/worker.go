@@ -35,10 +35,11 @@ type worker struct {
 // wsession pairs a server-side session with its client-side oracles:
 // a mirror midas.Session that replays every confirmed mutation through
 // the public API (incremental path), and the raw mutation log from
-// which finalChecks builds a from-scratch session. tainted flips when
-// a fault left the server state unknowable (a KB upload that died
-// mid-stream loads a prefix server-side), after which the oracles
-// stand down for this session.
+// which finalChecks builds a from-scratch session. tainted flips only
+// when an op's outcome is unknowable — its response was lost, or a
+// restart cut it short — after which the oracles stand down for this
+// session. A mutation the server refused (a definite non-2xx) left the
+// session untouched, so the oracles skip it and keep running.
 type wsession struct {
 	name    string
 	mirror  *midas.Session
@@ -229,9 +230,9 @@ func (w *worker) ingestFacts(seq int, sn *wsession) {
 }
 
 // loadKB uploads a KB TSV whose request body runs through the
-// injector's fault Reader — the KB-load latency/error seam. KB loads
-// are not atomic, so any failed upload leaves an unknown prefix loaded
-// server-side and taints the session for oracle purposes.
+// injector's fault Reader — the KB-load latency/error seam. A refused
+// upload loads nothing, so the mirror skips it; only an unknown outcome
+// taints the session.
 func (w *worker) loadKB(seq int, sn *wsession) {
 	n := 3 + w.rng.Intn(10)
 	var body bytes.Buffer
@@ -247,8 +248,14 @@ func (w *worker) loadKB(seq int, sn *wsession) {
 	code, err := w.h.doJSON(w.h.hc, "POST", "/api/sessions/"+sn.name+"/kb",
 		w.h.inj.Reader(bytes.NewReader(raw)), "text/tab-separated-values", &out)
 	w.h.record(w.id, seq, "kb", sn.name, code, fmt.Sprintf("n=%d", n))
-	if err != nil || code != http.StatusOK {
+	switch {
+	case err != nil:
+		// The response was lost: the load may or may not have landed.
 		sn.tainted = true
+		return
+	case code != http.StatusOK:
+		// Refused loads change nothing, unless a restart cut the op short.
+		w.restartHit(seq, sn, "kb")
 		return
 	}
 	if _, err := sn.mirror.KB().LoadTSV(bytes.NewReader(raw)); err != nil {

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"bufio"
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -20,10 +19,15 @@ import (
 	"midas/internal/store"
 )
 
+// maxBodyBytes caps every API request body at the WAL record cap: a
+// larger body could never be logged, so it is refused with 413 before
+// it is parsed. A variable so tests can lower it.
+var maxBodyBytes int64 = store.MaxRecordBytes
+
 // routes mounts the JSON API. Every handler runs behind withMetrics,
 // which applies the server's request deadline to the request context
-// (client disconnects already propagate through it) and records the
-// per-endpoint counter and timer.
+// (client disconnects already propagate through it), caps the request
+// body, and records the per-endpoint counter and timer.
 func (s *Server) routes(mux *http.ServeMux) {
 	handle := func(pattern string, h http.HandlerFunc) {
 		mux.HandleFunc(pattern, s.withMetrics(pattern, h))
@@ -107,6 +111,7 @@ func (s *Server) withMetrics(pattern string, h http.HandlerFunc) http.HandlerFun
 			span.Arg("endpoint", pattern).Arg("request", reqID)
 		}
 		r = r.WithContext(ctx)
+		r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
 
 		sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
 		start := time.Now()
@@ -139,6 +144,22 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 
 func writeErr(w http.ResponseWriter, code int, format string, args ...any) {
 	writeJSON(w, code, map[string]string{"error": fmt.Sprintf(format, args...)})
+}
+
+// statusOf maps a failed request to its status: 413 for a body past
+// maxBodyBytes or a record past the WAL cap, 400 for a mutation the
+// journal refused as invalid, and otherwise fallback — 400 for a body
+// that failed to parse, 500 for a journal whose log failed. Every one
+// of these leaves the session untouched.
+func statusOf(err error, fallback int) int {
+	var tooBig *http.MaxBytesError
+	switch {
+	case errors.As(err, &tooBig), errors.Is(err, store.ErrTooLarge):
+		return http.StatusRequestEntityTooLarge
+	case errors.Is(err, store.ErrInvalid):
+		return http.StatusBadRequest
+	}
+	return fallback
 }
 
 // sessionOrErr resolves {name}, writing the 404 itself when absent.
@@ -220,7 +241,7 @@ func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 		Options *apiOptions `json:"options"`
 	}
 	if err := decodeJSONBody(r, &req, true); err != nil {
-		writeErr(w, http.StatusBadRequest, "bad request body: %v", err)
+		writeErr(w, statusOf(err, http.StatusBadRequest), "bad request body: %v", err)
 		return
 	}
 	// The options JSON persisted with the create record is the
@@ -295,69 +316,26 @@ func (s *Server) handleDeleteSession(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
+// handleLoadKB bulk-loads the session KB from the body, in the format
+// named by ?format= (tsv by default, binary, ntriples). The load is all
+// or nothing: a body that fails to parse is refused with 400 and
+// nothing of it is loaded.
 func (s *Server) handleLoadKB(w http.ResponseWriter, r *http.Request) {
 	sn := s.sessionOrErr(w, r)
 	if sn == nil {
 		return
 	}
-	format := r.URL.Query().Get("format")
-	switch format {
-	case "", "tsv", "binary", "ntriples":
-	default:
-		writeErr(w, http.StatusBadRequest, "unknown KB format %q", format)
-		return
-	}
-	var body io.Reader = ctxReader(r.Context(), r.Body)
-	var raw []byte
-	if sn.slog != nil {
-		// Durable sessions log the load by content, so the body must be
-		// buffered; memory-only sessions keep the streaming path.
-		var err error
-		raw, err = io.ReadAll(body)
-		if err != nil {
-			writeErr(w, http.StatusBadRequest, "reading KB body: %v", err)
-			return
-		}
-		body = bytes.NewReader(raw)
-	}
-	sn.wmu.Lock()
-	added, err := loadKB(sn.sess, format, body)
+	body, err := io.ReadAll(ctxReader(r.Context(), r.Body))
 	if err != nil {
-		if sn.slog != nil {
-			// The loaders apply while parsing, so a mid-body error leaves
-			// a partial prefix live that no WAL record describes. Snapshot
-			// immediately: the snapshot serializes the session as it now
-			// is, re-baselining the log onto the observed state.
-			if serr := sn.slog.Snapshot(sn.sess); serr != nil {
-				s.logger().WarnContext(r.Context(), "re-baseline snapshot failed", "session", sn.name, "err", serr)
-			}
-		}
-		sn.wmu.Unlock()
-		writeErr(w, http.StatusBadRequest, "loading KB: %v", err)
+		writeErr(w, statusOf(err, http.StatusBadRequest), "reading KB body: %v", err)
 		return
 	}
-	if sn.slog != nil {
-		if aerr := sn.slog.AppendKB(format, raw); aerr != nil {
-			sn.wmu.Unlock()
-			writeErr(w, http.StatusInternalServerError, "persisting KB load: %v", aerr)
-			return
-		}
+	added, err := sn.j.LoadKB(r.URL.Query().Get("format"), body)
+	if err != nil {
+		writeErr(w, statusOf(err, http.StatusInternalServerError), "loading KB: %v", err)
+		return
 	}
-	sn.wmu.Unlock()
-	s.maybeSnapshot(sn)
 	writeJSON(w, http.StatusOK, map[string]int{"added": added})
-}
-
-// loadKB dispatches one KB bulk load; format has been validated.
-func loadKB(sess *midas.Session, format string, body io.Reader) (int, error) {
-	switch format {
-	case "", "tsv":
-		return sess.KB().LoadTSV(body)
-	case "binary":
-		return sess.KB().LoadBinary(body)
-	default:
-		return sess.KB().LoadNTriples(body)
-	}
 }
 
 type apiFact struct {
@@ -458,23 +436,15 @@ func (s *Server) handleAddFacts(w http.ResponseWriter, r *http.Request) {
 		facts, err = parseFactsTSV(body)
 	}
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, "bad facts body: %v", err)
+		writeErr(w, statusOf(err, http.StatusBadRequest), "bad facts body: %v", err)
 		return
 	}
-	sn.wmu.Lock()
-	if sn.slog != nil {
-		// Durable before applied: if the append fails, the session memory
-		// is untouched and the 500 is honest — nothing to forget.
-		if aerr := sn.slog.AppendFacts(facts); aerr != nil {
-			sn.wmu.Unlock()
-			writeErr(w, http.StatusInternalServerError, "persisting facts: %v", aerr)
-			return
-		}
+	added, err := sn.j.AddFacts(facts)
+	if err != nil {
+		writeErr(w, statusOf(err, http.StatusInternalServerError), "persisting facts: %v", err)
+		return
 	}
-	sn.sess.AddFacts(facts...)
-	sn.wmu.Unlock()
-	s.maybeSnapshot(sn)
-	writeJSON(w, http.StatusOK, map[string]int{"added": len(facts)})
+	writeJSON(w, http.StatusOK, map[string]int{"added": added})
 }
 
 func (s *Server) handleDiscover(w http.ResponseWriter, r *http.Request) {
@@ -647,7 +617,7 @@ func (s *Server) handleAbsorb(w http.ResponseWriter, r *http.Request) {
 		Slices []int  `json:"slices"`
 	}
 	if err := decodeJSONBody(r, &req, false); err != nil {
-		writeErr(w, http.StatusBadRequest, "bad request body: %v", err)
+		writeErr(w, statusOf(err, http.StatusBadRequest), "bad request body: %v", err)
 		return
 	}
 	j := s.job(req.Job)
@@ -673,34 +643,22 @@ func (s *Server) handleAbsorb(w http.ResponseWriter, r *http.Request) {
 			idx[i] = i
 		}
 	}
-	// Validate every index before absorbing anything: the batch must be
-	// all-or-nothing so the logged record matches what was applied.
-	for _, i := range idx {
+	// Validate every index before absorbing anything: the batch is
+	// all-or-nothing.
+	slices := make([]midas.Slice, len(idx))
+	for k, i := range idx {
 		if i < 0 || i >= len(res.Slices) {
 			writeErr(w, http.StatusBadRequest, "slice index %d out of range [0,%d)", i, len(res.Slices))
 			return
 		}
+		slices[k] = res.Slices[i]
 	}
-	sn.wmu.Lock()
-	if sn.slog != nil {
-		slices := make([]store.AbsorbSlice, len(idx))
-		for k, i := range idx {
-			slices[k] = store.AbsorbSlice{Source: res.Slices[i].Source, Entities: res.Slices[i].Entities}
-		}
-		if aerr := sn.slog.AppendAbsorb(slices); aerr != nil {
-			sn.wmu.Unlock()
-			writeErr(w, http.StatusInternalServerError, "persisting absorb: %v", aerr)
-			return
-		}
+	added, err := sn.j.Absorb(slices)
+	if err != nil {
+		writeErr(w, statusOf(err, http.StatusInternalServerError), "persisting absorb: %v", err)
+		return
 	}
-	added, absorbed := 0, 0
-	for _, i := range idx {
-		added += sn.sess.Absorb(res.Slices[i])
-		absorbed++
-	}
-	sn.wmu.Unlock()
-	s.maybeSnapshot(sn)
-	writeJSON(w, http.StatusOK, map[string]int{"absorbed": absorbed, "added": added})
+	writeJSON(w, http.StatusOK, map[string]int{"absorbed": len(slices), "added": added})
 }
 
 func (s *Server) handleProgress(w http.ResponseWriter, r *http.Request) {

@@ -168,8 +168,8 @@ func (s *Server) execute(ctx context.Context, sn *session, j *job, fp uint64) {
 	if err == nil && res != nil {
 		if res.Fingerprint == fp {
 			sn.storeCache(fp, res)
-			if sn.slog != nil {
-				sn.slog.SaveCache(fp, res)
+			if l := sn.j.Log(); l != nil {
+				l.SaveCache(fp, res)
 			}
 		}
 		if res.SourcesReused > 0 {

@@ -8,8 +8,14 @@
 // misses run the session's delta-aware discovery (only sources the
 // mutation touched are re-detected; reuse is surfaced as
 // serve/cache/partial hits), and shutdown drains running jobs before
-// the final metrics snapshot is flushed. Telemetry (/metrics, /debug/vars, /debug/pprof) is mounted on
-// the same listener via obs.Mount.
+// the final metrics snapshot is flushed. Telemetry (/metrics,
+// /debug/vars, /debug/pprof) is mounted on the same listener via
+// obs.Mount.
+//
+// Mutation handlers parse the request, call the session's
+// store.Journal, and write JSON; the journal owns the validate → log →
+// apply order, so a non-2xx answer always leaves the session untouched.
+// Request bodies are capped at store.MaxRecordBytes (413 past it).
 package serve
 
 import (
@@ -75,9 +81,9 @@ type Options struct {
 	// /profile, so unlike batch binaries it is always on).
 	Trace *obs.Tracer
 	// Store, when set, makes sessions durable: every confirmed mutation
-	// is written to the session's write-ahead log before the 2xx ack,
-	// compacting snapshots bound recovery time, and Recover restores
-	// prior sessions at startup. nil serves from memory only.
+	// is written to the session's write-ahead log before it is applied
+	// and acked, compacting snapshots bound recovery time, and Recover
+	// restores prior sessions at startup. nil serves from memory only.
 	Store *store.Store
 	// RestoreOptions, when set, post-processes the midas.Options decoded
 	// from a recovered session's stored options JSON — the seam through
@@ -146,8 +152,7 @@ type Server struct {
 	draining bool
 
 	jobsWG  sync.WaitGroup
-	snapWG  sync.WaitGroup // async threshold snapshots in flight
-	running int64          // guarded by mu
+	running int64 // guarded by mu
 
 	baseCtx    context.Context // canceled to hard-stop all jobs
 	cancelJobs context.CancelFunc
@@ -169,19 +174,12 @@ type Server struct {
 // did not touch (reported as serve/cache/partial hits).
 type session struct {
 	name string
+	// sess is read here; every mutation goes through j, which logs it
+	// first when the server runs with a store.
 	sess *midas.Session
-
-	// wmu serializes mutations (facts, KB loads, absorbs) against each
-	// other, against WAL appends, and against snapshots, so every logged
-	// record reflects the order the session actually applied.
-	wmu sync.Mutex
-	// slog is the session's durable log; nil when the server runs
-	// without a store.
-	slog *store.Log
+	j    *store.Journal
 	// recovered marks sessions restored from the store at startup.
 	recovered bool
-	// snapping guards the at-most-one async threshold snapshot.
-	snapping atomic.Bool
 
 	cmu      sync.Mutex
 	cacheFP  uint64
@@ -276,14 +274,15 @@ func (s *Server) createSession(name string, opts *midas.Options, optionsJSON []b
 	if _, ok := s.sessions[name]; ok {
 		return nil, errExists
 	}
-	sn := &session{name: name, sess: s.newSession(opts)}
+	var l *store.Log
 	if s.opts.Store != nil {
-		l, err := s.opts.Store.Create(name, optionsJSON)
-		if err != nil {
+		var err error
+		if l, err = s.opts.Store.Create(name, optionsJSON); err != nil {
 			return nil, fmt.Errorf("persisting session: %w", err)
 		}
-		sn.slog = l
 	}
+	sess := s.newSession(opts)
+	sn := &session{name: name, sess: sess, j: store.NewJournal(sess, l)}
 	s.sessions[name] = sn
 	s.reg.Gauge("serve/sessions").Set(float64(len(s.sessions)))
 	return sn, nil
@@ -339,8 +338,8 @@ func (s *Server) deleteSession(ctx context.Context, name string) (bool, error) {
 		s.logger().InfoContext(ctx, "session jobs canceled for delete",
 			"session", name, "jobs", len(running))
 	}
-	if sn.slog != nil {
-		if err := sn.slog.Delete(); err != nil {
+	if l := sn.j.Log(); l != nil {
+		if err := l.Delete(); err != nil {
 			return true, err
 		}
 	}
@@ -380,15 +379,10 @@ func (s *Server) Drain(ctx context.Context) int {
 	return inFlight
 }
 
-// snapshotAll compacts every durable session: threshold snapshots still
-// in flight are awaited, then each session gets a final snapshot so the
-// next startup recovers without replay. Best-effort — a session whose
+// snapshotAll gives every durable session a final snapshot so the next
+// startup recovers without replay. Best-effort — a session whose
 // snapshot fails still has its synced WAL.
 func (s *Server) snapshotAll(ctx context.Context) {
-	if s.opts.Store == nil {
-		return
-	}
-	s.snapWG.Wait()
 	s.mu.RLock()
 	sessions := make([]*session, 0, len(s.sessions))
 	for _, sn := range s.sessions {
@@ -396,38 +390,10 @@ func (s *Server) snapshotAll(ctx context.Context) {
 	}
 	s.mu.RUnlock()
 	for _, sn := range sessions {
-		if sn.slog == nil {
-			continue
-		}
-		sn.wmu.Lock()
-		err := sn.slog.Snapshot(sn.sess)
-		sn.wmu.Unlock()
-		if err != nil {
+		if err := sn.j.Snapshot(); err != nil {
 			s.logger().WarnContext(ctx, "drain snapshot failed", "session", sn.name, "err", err)
 		}
 	}
-}
-
-// maybeSnapshot starts an async compacting snapshot when the session's
-// WAL has outgrown the store's threshold — at most one per session at a
-// time, taken under wmu so the snapshot sees a quiescent session.
-// Mutations keep flowing while the marshaled state is written; only the
-// segment swap holds the log lock.
-func (s *Server) maybeSnapshot(sn *session) {
-	if sn.slog == nil || !sn.slog.NeedsSnapshot() || !sn.snapping.CompareAndSwap(false, true) {
-		return
-	}
-	s.snapWG.Add(1)
-	go func() {
-		defer s.snapWG.Done()
-		defer sn.snapping.Store(false)
-		sn.wmu.Lock()
-		err := sn.slog.Snapshot(sn.sess)
-		sn.wmu.Unlock()
-		if err != nil {
-			s.logger().WarnContext(context.Background(), "snapshot failed", "session", sn.name, "err", err)
-		}
-	}()
 }
 
 // decodeStoredOptions rebuilds midas.Options from the options JSON a
@@ -463,7 +429,7 @@ func (s *Server) Recover(ctx context.Context) (*store.Recovery, error) {
 	}
 	s.mu.Lock()
 	for _, r := range rec.Sessions {
-		sn := &session{name: r.Name, sess: r.Session, slog: r.Log, recovered: true}
+		sn := &session{name: r.Name, sess: r.Session, j: store.NewJournal(r.Session, r.Log), recovered: true}
 		if r.CacheResult != nil {
 			sn.cacheFP, sn.cacheRes = r.CacheFingerprint, r.CacheResult
 		}

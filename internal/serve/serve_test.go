@@ -497,6 +497,14 @@ func TestFactsTSVAndKBFormats(t *testing.T) {
 	if code := do(t, "POST", ts.URL+"/api/sessions/tsv/kb?format=nope", strings.NewReader(""), "", nil); code != 400 {
 		t.Fatalf("bad kb format: HTTP %d, want 400", code)
 	}
+	// Memory-only loads are all or nothing too: a bad last line loads
+	// none of the lines before it.
+	if code := do(t, "POST", ts.URL+"/api/sessions/tsv/kb", strings.NewReader("a2\tkind\talpha\nbroken\n"), "", nil); code != 400 {
+		t.Fatalf("malformed kb: HTTP %d, want 400", code)
+	}
+	if info := getSession(t, ts.URL, "tsv"); info.KBFacts != 0 {
+		t.Fatalf("malformed kb loaded %d facts, want 0", info.KBFacts)
+	}
 	var kb struct{ Added int }
 	if code := do(t, "POST", ts.URL+"/api/sessions/tsv/kb", strings.NewReader("a1\tkind\talpha\n"), "", &kb); code != 200 || kb.Added != 1 {
 		t.Fatalf("kb tsv: HTTP %d added %d", code, kb.Added)

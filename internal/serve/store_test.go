@@ -205,6 +205,73 @@ func TestServeRecoveryAfterKill(t *testing.T) {
 	}
 }
 
+// walBytes sums the sizes of a stored session's WAL segments.
+func walBytes(t *testing.T, dir, name string) int64 {
+	t.Helper()
+	segs, err := filepath.Glob(filepath.Join(dir, "sessions", name, "wal-*.log"))
+	if err != nil || len(segs) == 0 {
+		t.Fatalf("no WAL segments for %s (%v)", name, err)
+	}
+	var n int64
+	for _, seg := range segs {
+		fi, err := os.Stat(seg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n += fi.Size()
+	}
+	return n
+}
+
+// TestRefusedMutationsLeaveSessionUntouched: a mutation the server
+// refuses — a KB body whose last line is malformed, a body over the
+// cap, an append against a dead log — answers non-2xx and leaves the
+// session's fingerprint, KB size and WAL bytes exactly as they were.
+func TestRefusedMutationsLeaveSessionUntouched(t *testing.T) {
+	goodKB := "alpha entity 1\tkind\talpha\nalpha entity 2\tkind\talpha\n"
+	for _, tc := range []struct {
+		name    string
+		path    string // under /api/sessions/{s}/
+		body    string
+		bodyCap int64                        // maxBodyBytes during the request; 0 keeps the default
+		before  func(*store.Store, *session) // runs just before the request
+		want    int
+	}{
+		{name: "kb-malformed-last-line", path: "kb", body: goodKB + "broken line\n", want: http.StatusBadRequest},
+		{name: "kb-unknown-format", path: "kb?format=xml", body: goodKB, want: http.StatusBadRequest},
+		{name: "kb-over-body-cap", path: "kb", body: goodKB, bodyCap: int64(len(goodKB)) - 1, want: http.StatusRequestEntityTooLarge},
+		{name: "facts-over-body-cap", path: "facts", body: "x\tkind\talpha\t1\thttp://a/\n", bodyCap: 8, want: http.StatusRequestEntityTooLarge},
+		{name: "kb-log-closed", path: "kb", body: goodKB, before: func(_ *store.Store, sn *session) { sn.j.Log().Close() }, want: http.StatusInternalServerError},
+		{name: "kb-store-killed", path: "kb", body: goodKB, before: func(st *store.Store, _ *session) { st.Kill() }, want: http.StatusInternalServerError},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			st := openTestStore(t, dir)
+			s, ts := newDurableServer(t, st, Options{Registry: obs.New()})
+			if code := do(t, "POST", ts.URL+"/api/sessions", strings.NewReader(`{"name":"r"}`), "application/json", nil); code != 201 {
+				t.Fatalf("create: HTTP %d", code)
+			}
+			postFacts(t, ts.URL, "r", corpusFacts("alpha", 5))
+			before, wal := getSession(t, ts.URL, "r"), walBytes(t, dir, "r")
+			if tc.before != nil {
+				tc.before(st, s.session("r"))
+			}
+			if tc.bodyCap > 0 {
+				maxBodyBytes = tc.bodyCap
+				defer func() { maxBodyBytes = store.MaxRecordBytes }()
+			}
+			if code := do(t, "POST", ts.URL+"/api/sessions/r/"+tc.path, strings.NewReader(tc.body), "text/tab-separated-values", nil); code != tc.want {
+				t.Fatalf("HTTP %d, want %d", code, tc.want)
+			}
+			after := getSession(t, ts.URL, "r")
+			if after.Fingerprint != before.Fingerprint || after.KBFacts != before.KBFacts || walBytes(t, dir, "r") != wal {
+				t.Fatalf("refused request changed the session: %+v, WAL %d bytes; was %+v, %d bytes",
+					after, walBytes(t, dir, "r"), before, wal)
+			}
+		})
+	}
+}
+
 // TestRecoveredOptionsRestored: session options persist with the create
 // record, and the RestoreOptions seam post-processes them at recovery.
 func TestRecoveredOptionsRestored(t *testing.T) {

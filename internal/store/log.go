@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -48,12 +49,20 @@ func parseSeq(name, prefix, suffix string) (uint64, bool) {
 	return seq, true
 }
 
+// logFile is what a Log needs of its active segment file; tests
+// substitute it to inject write failures.
+type logFile interface {
+	io.Writer
+	Sync() error
+	Close() error
+}
+
 // Log is the durable state of one session: a write-ahead log of its
 // confirmed mutation stream in checksummed frames, segment-rotated by
 // compacting snapshots, plus the persisted result cache. Appends are
 // expected to be externally serialized against each other and against
-// Snapshot (the serving layer holds a per-session mutation mutex);
-// SaveCache may run concurrently with anything.
+// Snapshot (a Journal does this); SaveCache may run concurrently with
+// anything.
 type Log struct {
 	st      *Store
 	name    string
@@ -61,19 +70,24 @@ type Log struct {
 	options []byte // create-time options JSON, stamped into snapshots
 
 	mu       sync.Mutex
-	f        *os.File
+	f        logFile
 	seq      uint64 // active segment
 	walBytes int64  // bytes in segments not yet covered by a snapshot
 	written  int64  // monotonic append offset, across segments
 	closed   bool
 	frozen   bool
 
+	// failed is the first write or fsync error, and it is sticky: a
+	// failed write may leave part of a frame on disk, and a record
+	// appended after it would be acked yet unreadable (recovery stops at
+	// the first torn frame), so every later append fails with it.
+	failed error
+
 	// Group commit: batched appenders wait on cond until the syncer's
 	// fsync covers their record (synced >= their end offset) or the log
 	// dies. One fsync acknowledges every record written before it.
 	cond    *sync.Cond
 	synced  int64
-	syncErr error
 	syncReq chan struct{}
 	stop    chan struct{}
 	syncWG  sync.WaitGroup
@@ -81,8 +95,8 @@ type Log struct {
 	cmu sync.Mutex // serializes cache.bin writes
 }
 
-// header writes the segment header for seq.
-func writeSegmentHeader(f *os.File, seq uint64) error {
+// writeSegmentHeader writes the segment header for seq.
+func writeSegmentHeader(f io.Writer, seq uint64) error {
 	bw := binio.NewWriter(f)
 	bw.Magic(walMagic)
 	bw.Uvarint(seq)
@@ -108,7 +122,8 @@ func (st *Store) newLog(name string, optionsJSON []byte) (*Log, error) {
 		return nil, err
 	}
 	l.startSyncer()
-	if err := l.append(encodeCreate(name, optionsJSON)); err != nil {
+	create := &mutation{op: opCreate, name: name, options: optionsJSON}
+	if err := l.append(create.encode()); err != nil {
 		l.Close()
 		return nil, err
 	}
@@ -152,15 +167,12 @@ func (l *Log) doSync() {
 }
 
 func (l *Log) doSyncLocked() {
-	if l.closed || l.frozen || l.f == nil {
+	if l.deadLocked() != nil || l.f == nil {
 		return
 	}
 	target := l.written
-	err := l.f.Sync()
-	if err != nil {
-		if l.syncErr == nil {
-			l.syncErr = err
-		}
+	if err := l.f.Sync(); err != nil {
+		l.failed = err
 	} else if target > l.synced {
 		l.synced = target
 		l.st.noteFsync()
@@ -178,6 +190,8 @@ func (l *Log) append(payload []byte) error {
 		return err
 	}
 	if _, err := l.f.Write(frame); err != nil {
+		l.failed = err
+		l.cond.Broadcast()
 		l.mu.Unlock()
 		return err
 	}
@@ -193,7 +207,7 @@ func (l *Log) append(payload []byte) error {
 		return nil
 	case PolicyAlways:
 		l.doSyncLocked()
-		err := l.syncErr
+		err := l.failed
 		l.mu.Unlock()
 		return err
 	}
@@ -202,18 +216,19 @@ func (l *Log) append(payload []byte) error {
 	case l.syncReq <- struct{}{}:
 	default:
 	}
-	for l.synced < myEnd && l.syncErr == nil {
+	for l.synced < myEnd {
 		if err := l.deadLocked(); err != nil {
 			l.mu.Unlock()
 			return err
 		}
 		l.cond.Wait()
 	}
-	err := l.syncErr
 	l.mu.Unlock()
-	return err
+	return nil
 }
 
+// deadLocked reports why the log takes no more appends, nil while it
+// does.
 func (l *Log) deadLocked() error {
 	switch {
 	case l.frozen:
@@ -221,30 +236,25 @@ func (l *Log) deadLocked() error {
 	case l.closed:
 		return ErrClosed
 	}
-	return nil
+	return l.failed
 }
 
 // AppendFacts logs an AddFacts batch.
-func (l *Log) AppendFacts(facts []midas.Fact) error { return l.append(encodeFacts(facts)) }
-
-// AppendKB logs a KB bulk load by content: the format tag and the exact
-// body bytes the live load consumed.
-func (l *Log) AppendKB(format string, body []byte) error { return l.append(encodeKB(format, body)) }
-
-// AppendAbsorb logs a batch of absorbed slices.
-func (l *Log) AppendAbsorb(slices []AbsorbSlice) error { return l.append(encodeAbsorb(slices)) }
+func (l *Log) AppendFacts(facts []midas.Fact) error {
+	return l.append((&mutation{op: opFacts, facts: facts}).encode())
+}
 
 // NeedsSnapshot reports whether the un-snapshotted WAL has crossed the
 // store's snapshot threshold.
 func (l *Log) NeedsSnapshot() bool {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return !l.closed && !l.frozen && l.walBytes >= l.st.opts.SnapshotBytes
+	return l.deadLocked() == nil && l.walBytes >= l.st.opts.SnapshotBytes
 }
 
 // Snapshot compacts the log: serialize sess (which must be quiescent
-// with respect to mutations and appends — the caller holds the
-// session's mutation mutex), stamp its fingerprint and KB epoch, write
+// with respect to mutations and appends — Journal.Snapshot holds the
+// journal's lock), stamp its fingerprint and KB epoch, write
 // the snapshot with temp-file + rename atomicity, rotate to a fresh
 // segment, and delete the files the snapshot supersedes. Every crash
 // window recovers: before the rename the old snapshot + segments are

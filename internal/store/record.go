@@ -21,10 +21,14 @@ import (
 // scanner stops at the first invalid frame and reports whether the file
 // ended cleanly.
 
-// maxRecordBytes caps a single WAL record (and the snapshot record) at
-// read time so a corrupt length cannot exhaust memory. KB bulk-load
-// bodies are stored verbatim, so the cap is generous.
-const maxRecordBytes = 1 << 30
+// MaxRecordBytes caps a single WAL record (and the snapshot record):
+// the journal refuses to log a larger one, and the scanner reads a
+// larger declared length as a torn frame, so a corrupt length cannot
+// exhaust memory. KB bulk-load bodies are stored verbatim, so the cap
+// is generous.
+const MaxRecordBytes = 1 << 30
+
+var maxRecordBytes int64 = MaxRecordBytes // the cap in force; tests lower it
 
 // Op types, the first uvarint of every WAL record payload.
 const (
@@ -67,7 +71,7 @@ func scanRecords(r io.Reader, fn func(payload []byte) error) (n int, clean bool,
 		if err != nil {
 			return n, false, nil
 		}
-		if length > maxRecordBytes {
+		if length > uint64(maxRecordBytes) {
 			return n, false, nil
 		}
 		payload, ok := readFullCapped(br, length)
@@ -111,92 +115,65 @@ type mutation struct {
 	name    string // opCreate
 	options []byte // opCreate: options JSON, verbatim
 	facts   []midas.Fact
-	format  string // opKB: "tsv" | "binary" | "ntriples"
-	body    []byte // opKB
-	slices  []AbsorbSlice
+	format  string        // opKB: "tsv" | "binary" | "ntriples"
+	body    []byte        // opKB
+	slices  []midas.Slice // opAbsorb: Source and Entities, all Absorb reads
 }
 
-// AbsorbSlice is the replayable projection of an absorbed slice:
-// Session.Absorb reads only the source and the entity set.
-type AbsorbSlice struct {
-	Source   string
-	Entities []string
-}
-
-func encodeCreate(name string, optionsJSON []byte) []byte {
+// encode serializes m as a WAL record payload. Facts are
+// dictionary-encoded: repeated subjects, predicates, objects, and URLs
+// are stored once in a string table, rows reference table indexes.
+// Confidence is stored as raw Float64bits — replay must feed AddFacts
+// the exact float64 the live handler did, or the interned float32 (and
+// with it the session fingerprint) could drift.
+func (m *mutation) encode() []byte {
 	var buf bytes.Buffer
 	bw := binio.NewWriter(&buf)
-	bw.Uvarint(opCreate)
-	bw.String(name)
-	bw.Bytes(optionsJSON)
-	bw.Flush()
-	return buf.Bytes()
-}
-
-// encodeFacts dictionary-encodes a batch: repeated subjects, predicates,
-// objects, and URLs are stored once in a string table, rows reference
-// table indexes. Confidence is stored as raw Float64bits — replay must
-// feed AddFacts the exact float64 the live handler did, or the interned
-// float32 (and with it the session fingerprint) could drift.
-func encodeFacts(facts []midas.Fact) []byte {
-	var buf bytes.Buffer
-	bw := binio.NewWriter(&buf)
-	bw.Uvarint(opFacts)
-	idx := make(map[string]uint64)
-	var table []string
-	intern := func(s string) uint64 {
-		if i, ok := idx[s]; ok {
+	bw.Uvarint(uint64(m.op))
+	switch m.op {
+	case opCreate:
+		bw.String(m.name)
+		bw.Bytes(m.options)
+	case opFacts:
+		idx := make(map[string]uint64)
+		var table []string
+		intern := func(s string) uint64 {
+			if i, ok := idx[s]; ok {
+				return i
+			}
+			i := uint64(len(table))
+			idx[s] = i
+			table = append(table, s)
 			return i
 		}
-		i := uint64(len(table))
-		idx[s] = i
-		table = append(table, s)
-		return i
-	}
-	type row struct{ s, p, o, u, conf uint64 }
-	rows := make([]row, len(facts))
-	for i, f := range facts {
-		rows[i] = row{
-			s: intern(f.Subject), p: intern(f.Predicate), o: intern(f.Object),
-			u: intern(f.URL), conf: math.Float64bits(f.Confidence),
+		type row struct{ s, p, o, u uint64 }
+		rows := make([]row, len(m.facts))
+		for i, f := range m.facts {
+			rows[i] = row{intern(f.Subject), intern(f.Predicate), intern(f.Object), intern(f.URL)}
 		}
-	}
-	bw.Int(len(table))
-	for _, s := range table {
-		bw.String(s)
-	}
-	bw.Int(len(rows))
-	for _, r := range rows {
-		bw.Uvarint(r.s)
-		bw.Uvarint(r.p)
-		bw.Uvarint(r.o)
-		bw.Uvarint(r.u)
-		bw.Uvarint(r.conf)
-	}
-	bw.Flush()
-	return buf.Bytes()
-}
-
-func encodeKB(format string, body []byte) []byte {
-	var buf bytes.Buffer
-	bw := binio.NewWriter(&buf)
-	bw.Uvarint(opKB)
-	bw.String(format)
-	bw.Bytes(body)
-	bw.Flush()
-	return buf.Bytes()
-}
-
-func encodeAbsorb(slices []AbsorbSlice) []byte {
-	var buf bytes.Buffer
-	bw := binio.NewWriter(&buf)
-	bw.Uvarint(opAbsorb)
-	bw.Int(len(slices))
-	for _, sl := range slices {
-		bw.String(sl.Source)
-		bw.Int(len(sl.Entities))
-		for _, e := range sl.Entities {
-			bw.String(e)
+		bw.Int(len(table))
+		for _, s := range table {
+			bw.String(s)
+		}
+		bw.Int(len(rows))
+		for i, r := range rows {
+			bw.Uvarint(r.s)
+			bw.Uvarint(r.p)
+			bw.Uvarint(r.o)
+			bw.Uvarint(r.u)
+			bw.Uvarint(math.Float64bits(m.facts[i].Confidence))
+		}
+	case opKB:
+		bw.String(m.format)
+		bw.Bytes(m.body)
+	case opAbsorb:
+		bw.Int(len(m.slices))
+		for _, sl := range m.slices {
+			bw.String(sl.Source)
+			bw.Int(len(sl.Entities))
+			for _, e := range sl.Entities {
+				bw.String(e)
+			}
 		}
 	}
 	bw.Flush()
@@ -206,7 +183,7 @@ func encodeAbsorb(slices []AbsorbSlice) []byte {
 // decodeMutation decodes one WAL record payload.
 func decodeMutation(payload []byte) (*mutation, error) {
 	br := binio.NewReader(bytes.NewReader(payload))
-	br.MaxBytes = maxRecordBytes
+	br.MaxBytes = uint64(maxRecordBytes)
 	m := &mutation{op: int(br.Uvarint())}
 	if err := br.Err(); err != nil {
 		return nil, err
@@ -260,9 +237,9 @@ func decodeMutation(payload []byte) (*mutation, error) {
 		if nSlices > len(payload) {
 			return nil, fmt.Errorf("%w: absorb slice count %d exceeds payload", binio.ErrCorrupt, nSlices)
 		}
-		m.slices = make([]AbsorbSlice, 0, nSlices)
+		m.slices = make([]midas.Slice, 0, nSlices)
 		for i := 0; i < nSlices; i++ {
-			sl := AbsorbSlice{Source: br.String()}
+			sl := midas.Slice{Source: br.String()}
 			nEnts := br.Int()
 			if err := br.Err(); err != nil {
 				return nil, err
@@ -285,34 +262,50 @@ func decodeMutation(payload []byte) (*mutation, error) {
 	return m, nil
 }
 
-// apply replays a decoded mutation onto sess. Every logged mutation
-// succeeded on the live session before it was acked, so a replay
-// failure means divergence — the caller quarantines.
-func (m *mutation) apply(sess *midas.Session) error {
+// validate proves m will apply before anything is logged. A KB body
+// must parse completely; it is loaded into a throwaway KB, so the
+// session's interning dictionaries see nothing until apply re-parses it
+// in the same order replay will.
+func (m *mutation) validate() error {
+	if m.op != opKB {
+		return nil
+	}
+	_, err := loadKB(midas.NewKB(), m.format, m.body)
+	return err
+}
+
+// apply performs m on sess and returns what it added: facts for a
+// batch, new KB triples for a KB load or an absorb. The journal applies
+// live mutations and recovery replays logged ones through it alone, so
+// a replay failure means divergence and the caller quarantines.
+func (m *mutation) apply(sess *midas.Session) (int, error) {
 	switch m.op {
 	case opFacts:
 		sess.AddFacts(m.facts...)
+		return len(m.facts), nil
 	case opKB:
-		var err error
-		switch m.format {
-		case "", "tsv":
-			_, err = sess.KB().LoadTSV(bytes.NewReader(m.body))
-		case "binary":
-			_, err = sess.KB().LoadBinary(bytes.NewReader(m.body))
-		case "ntriples":
-			_, err = sess.KB().LoadNTriples(bytes.NewReader(m.body))
-		default:
-			err = fmt.Errorf("unknown KB format %q", m.format)
-		}
-		if err != nil {
-			return fmt.Errorf("replaying KB load: %w", err)
-		}
+		return loadKB(sess.KB(), m.format, m.body)
 	case opAbsorb:
+		added := 0
 		for _, sl := range m.slices {
-			sess.Absorb(midas.Slice{Source: sl.Source, Entities: sl.Entities})
+			// Only the logged fields reach Absorb, live and on replay.
+			added += sess.Absorb(midas.Slice{Source: sl.Source, Entities: sl.Entities})
 		}
-	case opCreate:
-		return fmt.Errorf("%w: create record past the head of the log", binio.ErrCorrupt)
+		return added, nil
 	}
-	return nil
+	return 0, fmt.Errorf("%w: create record past the head of the log", binio.ErrCorrupt)
+}
+
+// loadKB bulk-loads body into k in the given format.
+func loadKB(k *midas.KB, format string, body []byte) (int, error) {
+	r := bytes.NewReader(body)
+	switch format {
+	case "", "tsv":
+		return k.LoadTSV(r)
+	case "binary":
+		return k.LoadBinary(r)
+	case "ntriples":
+		return k.LoadNTriples(r)
+	}
+	return 0, fmt.Errorf("unknown KB format %q", format)
 }

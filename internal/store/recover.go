@@ -275,7 +275,8 @@ func (st *Store) replaySegment(dir string, seq uint64, sess **midas.Session, opt
 		if *sess == nil {
 			return fmt.Errorf("mutation before create record")
 		}
-		return m.apply(*sess)
+		_, err = m.apply(*sess)
+		return err
 	})
 }
 
@@ -304,7 +305,7 @@ func (st *Store) readSnapshot(name, path string, decode DecodeOptions) (*midas.S
 		return nil, nil, fmt.Errorf("%w: snapshot is not one clean record", binio.ErrCorrupt)
 	}
 	br := binio.NewReader(bytes.NewReader(payload))
-	br.MaxBytes = maxRecordBytes
+	br.MaxBytes = uint64(maxRecordBytes)
 	snapName := br.String()
 	options := br.Bytes()
 	fp := br.Uvarint()

@@ -5,6 +5,13 @@
 // after a crash is snapshot-load + short log replay instead of
 // full-history replay.
 //
+// A Journal owns the order of every mutation: validate → log → apply,
+// where apply is the function recovery replays, so live and recovered
+// sessions are identical by construction. A KB body that does not
+// parse (ErrInvalid) or a record over MaxRecordBytes (ErrTooLarge) is
+// refused before anything is logged. A failed write or fsync kills the
+// log for good, so no record is acked behind a torn frame.
+//
 // Layout under the data directory:
 //
 //	sessions/<name>/wal-<seq>.log    WAL segments (checksummed frames)

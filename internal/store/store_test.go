@@ -9,6 +9,7 @@ package store
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -23,13 +24,13 @@ import (
 	"midas/internal/testutil"
 )
 
-// op is one scripted mutation, applied identically to the live session
-// and to the WAL.
+// op is one scripted mutation: committed through a Journal on the live
+// side, applied straight to a session by the oracle.
 type op struct {
 	facts  []midas.Fact
 	format string // KB load when non-empty
 	body   []byte
-	slices []AbsorbSlice
+	slices []midas.Slice
 }
 
 func (o op) apply(sess *midas.Session) {
@@ -40,26 +41,30 @@ func (o op) apply(sess *midas.Session) {
 		}
 	case o.slices != nil:
 		for _, sl := range o.slices {
-			sess.Absorb(midas.Slice{Source: sl.Source, Entities: sl.Entities})
+			sess.Absorb(sl)
 		}
 	default:
 		sess.AddFacts(o.facts...)
 	}
 }
 
-func (o op) log(t *testing.T, l *Log) {
-	t.Helper()
+func (o op) commit(j *Journal) error {
 	var err error
 	switch {
 	case o.format != "":
-		err = l.AppendKB(o.format, o.body)
+		_, err = j.LoadKB(o.format, o.body)
 	case o.slices != nil:
-		err = l.AppendAbsorb(o.slices)
+		_, err = j.Absorb(o.slices)
 	default:
-		err = l.AppendFacts(o.facts)
+		_, err = j.AddFacts(o.facts)
 	}
-	if err != nil {
-		t.Fatalf("append: %v", err)
+	return err
+}
+
+func (o op) mustCommit(t *testing.T, j *Journal) {
+	t.Helper()
+	if err := o.commit(j); err != nil {
+		t.Fatalf("commit: %v", err)
 	}
 }
 
@@ -110,7 +115,7 @@ func buildScript(t *testing.T) []op {
 		t.Fatal("probe discovery found no slices")
 	}
 	sl := res.Slices[0]
-	ops = append(ops, op{slices: []AbsorbSlice{{Source: sl.Source, Entities: sl.Entities}}})
+	ops = append(ops, op{slices: []midas.Slice{sl}})
 	for i := half; i < len(facts); i += chunk {
 		end := i + chunk
 		if end > len(facts) {
@@ -212,14 +217,14 @@ func driveStore(t *testing.T, dir string) (*Store, *midas.Session, *Log, []op, [
 	if err != nil {
 		t.Fatal(err)
 	}
+	j := NewJournal(live, l)
 	seg := filepath.Join(dir, "sessions", "s1", segmentName(1))
 	headerSize := int64(len(walMagic) + 1) // 4-byte magic + uvarint(1)
 	ops := buildScript(t)
 	boundaries := []int64{headerSize, fileSize(t, seg)}
 	fps := []uint64{live.Fingerprint()}
 	for _, o := range ops {
-		o.apply(live)
-		o.log(t, l)
+		o.mustCommit(t, j)
 		boundaries = append(boundaries, fileSize(t, seg))
 		fps = append(fps, live.Fingerprint())
 	}
@@ -317,9 +322,9 @@ func TestRecoverThenContinue(t *testing.T) {
 		t.Fatalf("want 1 session, got %+v", rec)
 	}
 	r := rec.Sessions[0]
+	j := NewJournal(r.Session, r.Log)
 	for _, o := range ops[b-1:] {
-		o.apply(r.Session)
-		o.log(t, r.Log)
+		o.mustCommit(t, j)
 	}
 	if err := st2.Close(); err != nil {
 		t.Fatal(err)
@@ -350,11 +355,11 @@ func TestSnapshotCompaction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	j := NewJournal(live, l)
 	ops := buildScript(t)
 	half := len(ops) / 2
 	for _, o := range ops[:half] {
-		o.apply(live)
-		o.log(t, l)
+		o.mustCommit(t, j)
 	}
 	preSnap := copyDir(t, dir)
 	if err := l.Snapshot(live); err != nil {
@@ -368,8 +373,7 @@ func TestSnapshotCompaction(t *testing.T) {
 		t.Fatalf("snapshot missing: %v", err)
 	}
 	for _, o := range ops[half:] {
-		o.apply(live)
-		o.log(t, l)
+		o.mustCommit(t, j)
 	}
 	wantFP := live.Fingerprint()
 	if err := st.Close(); err != nil {
@@ -459,10 +463,10 @@ func TestQuarantine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	j := NewJournal(live, l)
 	ops := buildScript(t)
 	for _, o := range ops[:2] {
-		o.apply(live)
-		o.log(t, l)
+		o.mustCommit(t, j)
 	}
 	if err := l.Snapshot(live); err != nil {
 		t.Fatal(err)
@@ -605,10 +609,10 @@ func TestKill(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	j := NewJournal(live, l)
 	ops := buildScript(t)
 	for _, o := range ops[:3] {
-		o.apply(live)
-		o.log(t, l)
+		o.mustCommit(t, j)
 	}
 	st.Kill()
 	if err := l.AppendFacts(ops[3].facts); err != ErrKilled {
@@ -654,7 +658,7 @@ func TestCreateKillRace(t *testing.T) {
 			if l := <-done; l != nil {
 				// A create that won the race: its log must still die
 				// with the store, not accept post-kill appends.
-				if err := l.AppendAbsorb(nil); err == nil {
+				if err := l.AppendFacts(nil); err == nil {
 					t.Fatal("append succeeded on a killed store's log")
 				}
 			}
@@ -662,6 +666,129 @@ func TestCreateKillRace(t *testing.T) {
 	}
 	if leaks := testutil.Leaked(before, 5*time.Second); len(leaks) > 0 {
 		t.Fatalf("goroutines leaked: %v", leaks)
+	}
+}
+
+// TestJournalRefusals: a mutation the journal refuses — invalid, over
+// the record cap, or against a dead log — must leave the session and
+// the WAL exactly as they were, and recovery must return the state of
+// the last accepted mutation.
+func TestJournalRefusals(t *testing.T) {
+	ops := buildScript(t)
+	good := []byte("alpha\tkind\tthing\nbeta\tkind\tthing\n")
+	for _, tc := range []struct {
+		name   string
+		format string
+		body   []byte
+		cap    int64                  // record cap during the load; 0 keeps the default
+		before func(*Store, *Journal) // runs just before the load
+		want   error
+	}{
+		{name: "malformed-last-line", format: "tsv", body: []byte("alpha\tkind\tthing\nbroken line\n"), want: ErrInvalid},
+		{name: "unknown-format", format: "xml", body: good, want: ErrInvalid},
+		{name: "over-record-cap", format: "tsv", body: good, cap: int64(len(good)), want: ErrTooLarge},
+		{name: "closed-log", format: "tsv", body: good, before: func(_ *Store, j *Journal) { j.Log().Close() }, want: ErrClosed},
+		{name: "killed-store", format: "tsv", body: good, before: func(st *Store, _ *Journal) { st.Kill() }, want: ErrKilled},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			st, err := Open(Options{Dir: dir, Fsync: PolicyNone})
+			if err != nil {
+				t.Fatal(err)
+			}
+			live := midas.NewSession(nil, nil)
+			l, err := st.Create("s1", []byte(`{}`))
+			if err != nil {
+				t.Fatal(err)
+			}
+			j := NewJournal(live, l)
+			for _, o := range ops[:2] {
+				o.mustCommit(t, j)
+			}
+			seg := filepath.Join(dir, "sessions", "s1", segmentName(1))
+			fp, kbSize, wal := live.Fingerprint(), live.KB().Size(), fileSize(t, seg)
+			if tc.before != nil {
+				tc.before(st, j)
+			}
+			if tc.cap > 0 {
+				maxRecordBytes = tc.cap
+			}
+			_, err = j.LoadKB(tc.format, tc.body)
+			maxRecordBytes = MaxRecordBytes
+			if !errors.Is(err, tc.want) {
+				t.Fatalf("LoadKB error %v, want %v", err, tc.want)
+			}
+			if live.Fingerprint() != fp || live.KB().Size() != kbSize || fileSize(t, seg) != wal {
+				t.Fatalf("refused load changed state: fingerprint %016x (was %016x), KB %d (was %d), WAL %d bytes (was %d)",
+					live.Fingerprint(), fp, live.KB().Size(), kbSize, fileSize(t, seg), wal)
+			}
+			st.Close()
+			_, rec := recoverDir(t, dir)
+			if len(rec.Sessions) != 1 || rec.Sessions[0].Fingerprint != fp {
+				t.Fatalf("recovery after refusal: %+v, want fingerprint %016x", rec, fp)
+			}
+		})
+	}
+}
+
+// shortWriteFile writes half of the next frame and fails, once — a
+// short write on ENOSPC — then passes writes through.
+type shortWriteFile struct {
+	logFile
+	done bool
+}
+
+func (f *shortWriteFile) Write(p []byte) (int, error) {
+	if f.done {
+		return f.logFile.Write(p)
+	}
+	f.done = true
+	n, _ := f.logFile.Write(p[:len(p)/2])
+	return n, io.ErrShortWrite
+}
+
+// TestShortWriteKillsLog: after a failed write leaves half a frame in
+// the segment, every later append must fail. An append acked after the
+// torn frame would be lost, since recovery stops at the first torn
+// frame.
+func TestShortWriteKillsLog(t *testing.T) {
+	ops := buildScript(t)
+	for _, policy := range []Policy{PolicyNone, PolicyAlways, PolicyBatch} {
+		t.Run(policy.String(), func(t *testing.T) {
+			dir := t.TempDir()
+			st, err := Open(Options{Dir: dir, Fsync: policy, BatchInterval: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			live := midas.NewSession(nil, nil)
+			l, err := st.Create("s1", []byte(`{}`))
+			if err != nil {
+				t.Fatal(err)
+			}
+			j := NewJournal(live, l)
+			ops[0].mustCommit(t, j)
+			acked := live.Fingerprint()
+			l.mu.Lock()
+			l.f = &shortWriteFile{logFile: l.f}
+			l.mu.Unlock()
+			if err := ops[1].commit(j); !errors.Is(err, io.ErrShortWrite) {
+				t.Fatalf("short write: %v, want io.ErrShortWrite", err)
+			}
+			if err := ops[2].commit(j); err == nil {
+				t.Fatal("append after a failed write was acked")
+			}
+			if l.NeedsSnapshot() || l.Snapshot(live) == nil {
+				t.Error("a failed log still offers snapshots")
+			}
+			if live.Fingerprint() != acked {
+				t.Fatal("failed appends changed the session")
+			}
+			st.Close()
+			_, rec := recoverDir(t, dir)
+			if len(rec.Quarantined) == 0 && (len(rec.Sessions) != 1 || rec.Sessions[0].Fingerprint != acked) {
+				t.Fatalf("recovery lost an acked record: %+v, want fingerprint %016x", rec, acked)
+			}
+		})
 	}
 }
 
@@ -679,10 +806,10 @@ func TestCacheRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	j := NewJournal(live, l)
 	ops := buildScript(t)
 	for _, o := range ops {
-		o.apply(live)
-		o.log(t, l)
+		o.mustCommit(t, j)
 	}
 	res, err := live.DiscoverContext(context.Background())
 	if err != nil {
