@@ -8,7 +8,7 @@
 //	midas-serve [-listen :8080] [-max-discoveries N]
 //	      [-request-timeout 30s] [-job-timeout 0]
 //	      [-read-timeout 0] [-idle-timeout 2m]
-//	      [-data-dir DIR] [-fsync batch] [-snapshot-bytes 4194304]
+//	      [-data-dir DIR] [-fsync always] [-snapshot-bytes 4194304]
 //	      [-drain-grace 0s] [-drain-timeout 30s]
 //	      [-log-level info] [-log-format logfmt]
 //	      [-stats final-stats.json]
@@ -25,9 +25,9 @@
 //	GET    /api/sessions/{s}/progress     KB size and corpus coverage
 //
 // With -data-dir set, sessions are durable: every confirmed mutation is
-// written to a per-session write-ahead log before the 2xx ack (-fsync
-// picks the group-commit policy), compacting snapshots bound recovery
-// time, and on startup every prior session is restored and verified
+// written to a per-session write-ahead log and (under the default
+// -fsync always) fsynced before the 2xx ack, compacting snapshots bound
+// recovery time, and on startup every prior session is restored and verified
 // against its stamped fingerprint — sessions that fail verification are
 // quarantined under <data-dir>/quarantine and logged, never served and
 // never deleted. Recovered sessions report "recovered": true in
@@ -73,7 +73,7 @@ func main() {
 		readTimeout  = flag.Duration("read-timeout", 0, "max duration for reading an entire request including the body (0 = header timeout only)")
 		idleTimeout  = flag.Duration("idle-timeout", 2*time.Minute, "how long a keep-alive connection may sit idle before the server closes it")
 		dataDir      = flag.String("data-dir", "", "durable session state directory: write-ahead logs, snapshots, crash recovery (empty = memory only)")
-		fsyncPolicy  = flag.String("fsync", "batch", "WAL durability policy: always (fsync per mutation) | batch (group commit) | none (page cache only)")
+		fsyncPolicy  = flag.String("fsync", "always", "WAL durability policy: always (fsync each record before its ack; batch is an alias) | none (page cache only)")
 		snapBytes    = flag.Int64("snapshot-bytes", 4<<20, "per-session WAL size that triggers a compacting snapshot")
 		drainGrace   = flag.Duration("drain-grace", 0, "keep serving this long after readiness drops, so routers observe /readyz 503 before the listener closes")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for running jobs before canceling them")

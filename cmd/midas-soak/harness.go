@@ -205,7 +205,7 @@ func (h *seedHarness) verifyRecovery(rec *store.Recovery, base string) {
 }
 
 // restart is the in-process SIGKILL + reboot: freeze the store (no
-// final fsync, in-flight acks fail), sever every client connection,
+// final fsync, later appends fail), sever every client connection,
 // tear the old server down, then recover a new generation from the
 // same directory and verify what came back — zero quarantines, every
 // recovered session marked recovered and answering with the exact
@@ -221,7 +221,7 @@ func (h *seedHarness) restart() {
 	oldSrv.Close() // cancels async job contexts
 	oldTs.Close()  // waits out the severed handlers
 
-	st, err := store.Open(store.Options{Dir: h.dataDir, Fsync: store.PolicyBatch, Registry: h.reg})
+	st, err := store.Open(store.Options{Dir: h.dataDir, Registry: h.reg})
 	if err != nil {
 		h.violate(-1, -1, "restart-open", err.Error())
 		h.restarting.Store(false)
@@ -260,7 +260,7 @@ func runSeed(cfg config, seed int64) *report {
 		}
 		defer os.RemoveAll(dir)
 		h.dataDir = dir
-		st, err := store.Open(store.Options{Dir: dir, Fsync: store.PolicyBatch, Registry: h.reg})
+		st, err := store.Open(store.Options{Dir: dir, Registry: h.reg})
 		if err != nil {
 			h.violate(-1, -1, "setup", fmt.Sprintf("opening store: %v", err))
 			return h.report()

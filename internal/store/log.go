@@ -9,9 +9,9 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
-	"time"
 
 	"midas"
 	"midas/internal/binio"
@@ -35,15 +35,15 @@ var (
 func segmentName(seq uint64) string  { return fmt.Sprintf("wal-%08d.log", seq) }
 func snapshotName(seq uint64) string { return fmt.Sprintf("snap-%08d.snap", seq) }
 
-// parseSeq extracts the sequence number from a segment or snapshot file
-// name matching prefix...suffix.
-func parseSeq(name, prefix, suffix string) (uint64, bool) {
-	if !strings.HasPrefix(name, prefix) || !strings.HasSuffix(name, suffix) {
-		return 0, false
-	}
-	mid := name[len(prefix) : len(name)-len(suffix)]
-	var seq uint64
-	if _, err := fmt.Sscanf(mid, "%d", &seq); err != nil || mid == "" {
+// parseSeq returns the sequence number of file if name (segmentName or
+// snapshotName) produces exactly that file name. A stray copy such as
+// "wal-00000002 copy.log" or a look-alike such as "wal-2.log" is not the
+// store's file: recovery ignores it and compaction leaves it alone.
+func parseSeq(file string, name func(uint64) string) (uint64, bool) {
+	_, rest, _ := strings.Cut(file, "-")
+	digits, _, _ := strings.Cut(rest, ".")
+	seq, err := strconv.ParseUint(digits, 10, 64)
+	if err != nil || name(seq) != file {
 		return 0, false
 	}
 	return seq, true
@@ -73,7 +73,6 @@ type Log struct {
 	f        logFile
 	seq      uint64 // active segment
 	walBytes int64  // bytes in segments not yet covered by a snapshot
-	written  int64  // monotonic append offset, across segments
 	closed   bool
 	frozen   bool
 
@@ -82,15 +81,6 @@ type Log struct {
 	// appended after it would be acked yet unreadable (recovery stops at
 	// the first torn frame), so every later append fails with it.
 	failed error
-
-	// Group commit: batched appenders wait on cond until the syncer's
-	// fsync covers their record (synced >= their end offset) or the log
-	// dies. One fsync acknowledges every record written before it.
-	cond    *sync.Cond
-	synced  int64
-	syncReq chan struct{}
-	stop    chan struct{}
-	syncWG  sync.WaitGroup
 
 	cmu sync.Mutex // serializes cache.bin writes
 }
@@ -111,7 +101,6 @@ func (st *Store) newLog(name string, optionsJSON []byte) (*Log, error) {
 		return nil, err
 	}
 	l := &Log{st: st, name: name, dir: dir, options: append([]byte(nil), optionsJSON...), seq: 1}
-	l.cond = sync.NewCond(&l.mu)
 	f, err := os.OpenFile(filepath.Join(dir, segmentName(1)), os.O_CREATE|os.O_WRONLY|os.O_EXCL, 0o644)
 	if err != nil {
 		return nil, err
@@ -121,7 +110,6 @@ func (st *Store) newLog(name string, optionsJSON []byte) (*Log, error) {
 		f.Close()
 		return nil, err
 	}
-	l.startSyncer()
 	create := &mutation{op: opCreate, name: name, options: optionsJSON}
 	if err := l.append(create.encode()); err != nil {
 		l.Close()
@@ -134,96 +122,31 @@ func (st *Store) newLog(name string, optionsJSON []byte) (*Log, error) {
 	return l, nil
 }
 
-// startSyncer launches the group-commit goroutine (batch policy only).
-func (l *Log) startSyncer() {
-	if l.st.opts.Fsync != PolicyBatch {
-		return
-	}
-	l.syncReq = make(chan struct{}, 1)
-	l.stop = make(chan struct{})
-	l.syncWG.Add(1)
-	go func() {
-		defer l.syncWG.Done()
-		for {
-			select {
-			case <-l.stop:
-				return
-			case <-l.syncReq:
-			}
-			// The batching window: let concurrent appenders pile onto
-			// this fsync instead of each paying their own.
-			time.Sleep(l.st.opts.BatchInterval)
-			l.doSync()
-		}
-	}()
-}
-
-// doSync fsyncs the active segment and releases every appender whose
-// record it covers.
-func (l *Log) doSync() {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.doSyncLocked()
-}
-
-func (l *Log) doSyncLocked() {
-	if l.deadLocked() != nil || l.f == nil {
-		return
-	}
-	target := l.written
-	if err := l.f.Sync(); err != nil {
-		l.failed = err
-	} else if target > l.synced {
-		l.synced = target
-		l.st.noteFsync()
-	}
-	l.cond.Broadcast()
-}
-
-// append frames, writes, and — per the store's fsync policy — makes
-// payload durable before returning. Callers serialize appends.
+// append frames and writes payload and, unless the policy is
+// PolicyNone, fsyncs it before returning: an ack always follows the
+// fsync of its own record. Callers serialize appends.
 func (l *Log) append(payload []byte) error {
 	frame := frameRecord(payload)
 	l.mu.Lock()
+	defer l.mu.Unlock()
 	if err := l.deadLocked(); err != nil {
-		l.mu.Unlock()
 		return err
 	}
 	if _, err := l.f.Write(frame); err != nil {
 		l.failed = err
-		l.cond.Broadcast()
-		l.mu.Unlock()
 		return err
 	}
-	l.written += int64(len(frame))
 	l.walBytes += int64(len(frame))
-	myEnd := l.written
 	l.st.walTotal.Add(int64(len(frame)))
 	l.st.records.Inc()
-
-	switch l.st.opts.Fsync {
-	case PolicyNone:
-		l.mu.Unlock()
+	if l.st.opts.Fsync == PolicyNone {
 		return nil
-	case PolicyAlways:
-		l.doSyncLocked()
-		err := l.failed
-		l.mu.Unlock()
+	}
+	if err := l.f.Sync(); err != nil {
+		l.failed = err
 		return err
 	}
-	// PolicyBatch: wake the syncer and wait for the fsync covering us.
-	select {
-	case l.syncReq <- struct{}{}:
-	default:
-	}
-	for l.synced < myEnd {
-		if err := l.deadLocked(); err != nil {
-			l.mu.Unlock()
-			return err
-		}
-		l.cond.Wait()
-	}
-	l.mu.Unlock()
+	l.st.noteFsync()
 	return nil
 }
 
@@ -345,11 +268,6 @@ func (l *Log) Snapshot(sess *midas.Session) error {
 	l.seq = newSeq
 	l.st.walTotal.Add(-l.walBytes)
 	l.walBytes = 0
-	// Everything appended so far is durable through the snapshot.
-	if l.written > l.synced {
-		l.synced = l.written
-	}
-	l.cond.Broadcast()
 	l.mu.Unlock()
 	if old != nil {
 		old.Close()
@@ -374,10 +292,10 @@ func (l *Log) removeSuperseded(keepSeq uint64) {
 			os.Remove(filepath.Join(l.dir, name))
 			continue
 		}
-		if seq, ok := parseSeq(name, "wal-", ".log"); ok && seq < keepSeq {
+		if seq, ok := parseSeq(name, segmentName); ok && seq < keepSeq {
 			os.Remove(filepath.Join(l.dir, name))
 		}
-		if seq, ok := parseSeq(name, "snap-", ".snap"); ok && seq < keepSeq {
+		if seq, ok := parseSeq(name, snapshotName); ok && seq < keepSeq {
 			os.Remove(filepath.Join(l.dir, name))
 		}
 	}
@@ -439,33 +357,28 @@ func loadCache(dir string) (uint64, *midas.Result) {
 	return cp.Fingerprint, cp.Result
 }
 
-// Close stops the syncer and closes the active segment after a final
-// fsync. Appends already in flight are released.
+// Close closes the active segment. It needs no final fsync: under
+// PolicyAlways every acked record is already synced, and PolicyNone
+// promises only what the page cache holds.
 func (l *Log) Close() error {
 	l.mu.Lock()
 	if l.closed || l.frozen {
 		l.mu.Unlock()
 		return nil
 	}
-	if l.f != nil && l.st.opts.Fsync != PolicyNone {
-		l.doSyncLocked()
-	}
 	l.closed = true
 	f := l.f
 	l.f = nil
-	l.cond.Broadcast()
 	l.mu.Unlock()
-	l.stopSyncer()
 	if f != nil {
 		return f.Close()
 	}
 	return nil
 }
 
-// freeze is the in-process hard-stop: no final fsync, the syncer dies,
-// blocked appenders fail with ErrKilled, files close without flushing
-// beyond what the OS already holds — the closest a live process gets to
-// SIGKILL semantics.
+// freeze is the in-process hard-stop: later appends fail with
+// ErrKilled, and files close without flushing beyond what the OS
+// already holds — the closest a live process gets to SIGKILL semantics.
 func (l *Log) freeze() {
 	l.mu.Lock()
 	if l.closed || l.frozen {
@@ -475,19 +388,9 @@ func (l *Log) freeze() {
 	l.frozen = true
 	f := l.f
 	l.f = nil
-	l.cond.Broadcast()
 	l.mu.Unlock()
-	l.stopSyncer()
 	if f != nil {
 		f.Close()
-	}
-}
-
-func (l *Log) stopSyncer() {
-	if l.stop != nil {
-		close(l.stop)
-		l.syncWG.Wait()
-		l.stop = nil
 	}
 }
 
@@ -507,9 +410,7 @@ func (l *Log) Delete() error {
 	l.f = nil
 	l.st.walTotal.Add(-l.walBytes)
 	l.walBytes = 0
-	l.cond.Broadcast()
 	l.mu.Unlock()
-	l.stopSyncer()
 	if f != nil {
 		f.Close()
 	}
@@ -533,7 +434,7 @@ func segmentSeqs(dir string) ([]uint64, error) {
 	}
 	var seqs []uint64
 	for _, e := range entries {
-		if seq, ok := parseSeq(e.Name(), "wal-", ".log"); ok {
+		if seq, ok := parseSeq(e.Name(), segmentName); ok {
 			seqs = append(seqs, seq)
 		}
 	}
@@ -549,7 +450,7 @@ func snapshotSeqs(dir string) ([]uint64, error) {
 	}
 	var seqs []uint64
 	for _, e := range entries {
-		if seq, ok := parseSeq(e.Name(), "snap-", ".snap"); ok {
+		if seq, ok := parseSeq(e.Name(), snapshotName); ok {
 			seqs = append(seqs, seq)
 		}
 	}

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sync"
 	"time"
 
 	"midas"
@@ -215,14 +214,12 @@ func (st *Store) recoverSession(name, dir string, decode DecodeOptions) (*Recove
 		f.Close()
 		return nil, err
 	}
-	l := &Log{st: st, name: name, dir: dir, options: options, seq: activeSeq, f: f, walBytes: size, written: size}
-	l.cond = sync.NewCond(&l.mu)
+	l := &Log{st: st, name: name, dir: dir, options: options, seq: activeSeq, f: f, walBytes: size}
 	st.walTotal.Add(size)
 	if err := l.Snapshot(sess); err != nil {
 		l.f.Close()
 		return nil, fmt.Errorf("post-recovery snapshot: %w", err)
 	}
-	l.startSyncer()
 
 	r := &Recovered{
 		Name: name, Session: sess, Fingerprint: sess.Fingerprint(),

@@ -30,10 +30,11 @@
 // slice-identical to the crashed one. Sessions that fail verification
 // or replay are quarantined — moved aside, never served, never lost.
 //
-// Appends are group-committed: with the default batch policy, an
-// append waits for the fsync that covers its record, and one fsync
-// acknowledges every record written before it — hot ingest across
-// sessions is not serialized on the disk.
+// Under the default policy every append fsyncs its own record before
+// it returns, so an ack always follows a successful fsync. There is no
+// group commit: a Journal holds its session's lock across the append,
+// so one log never has two appenders waiting, and different sessions
+// write different files that one fsync cannot cover.
 package store
 
 import (
@@ -53,53 +54,40 @@ import (
 type Policy int
 
 const (
-	// PolicyBatch (default) group-commits: an append returns once an
-	// fsync covering its record completes; concurrent appends share
-	// fsyncs. Bounded ack latency, bounded data loss (none on process
-	// kill, one batch interval on OS crash).
-	PolicyBatch Policy = iota
-	// PolicyAlways fsyncs before every ack. Maximum durability, one
-	// fsync per mutation.
-	PolicyAlways
+	// PolicyAlways (the default) fsyncs each record before its append
+	// returns: no acked mutation is lost on process kill or OS crash.
+	PolicyAlways Policy = iota
 	// PolicyNone never fsyncs on the append path. Process-kill safe
 	// (page cache), not OS-crash safe; snapshots still sync.
 	PolicyNone
 )
 
 func (p Policy) String() string {
-	switch p {
-	case PolicyAlways:
-		return "always"
-	case PolicyNone:
+	if p == PolicyNone {
 		return "none"
-	default:
-		return "batch"
 	}
+	return "always"
 }
 
-// ParsePolicy parses the -fsync flag values always|batch|none.
+// ParsePolicy parses the -fsync flag values always|none. "batch" is
+// accepted as an alias of always so existing command lines keep
+// working.
 func ParsePolicy(s string) (Policy, error) {
 	switch s {
-	case "always":
+	case "always", "batch", "":
 		return PolicyAlways, nil
-	case "batch", "":
-		return PolicyBatch, nil
 	case "none":
 		return PolicyNone, nil
 	}
-	return PolicyBatch, fmt.Errorf("unknown fsync policy %q (want always|batch|none)", s)
+	return PolicyAlways, fmt.Errorf("unknown fsync policy %q (want always|none)", s)
 }
 
 // Options configures a Store.
 type Options struct {
 	// Dir is the data directory; created if absent.
 	Dir string
-	// Fsync is the append durability policy. Default: PolicyBatch.
+	// Fsync is the append durability policy. Default: PolicyAlways.
 	Fsync Policy
-	// BatchInterval is the group-commit window under PolicyBatch: how
-	// long the syncer collects appends before one fsync acknowledges
-	// them all. Default: 2ms.
-	BatchInterval time.Duration
 	// SnapshotBytes is the per-session WAL size that triggers a
 	// compacting snapshot. Default: 4 MiB.
 	SnapshotBytes int64
@@ -139,9 +127,6 @@ type Store struct {
 func Open(opts Options) (*Store, error) {
 	if opts.Dir == "" {
 		return nil, errors.New("store: empty data directory")
-	}
-	if opts.BatchInterval <= 0 {
-		opts.BatchInterval = 2 * time.Millisecond
 	}
 	if opts.SnapshotBytes <= 0 {
 		opts.SnapshotBytes = 4 << 20
@@ -234,8 +219,8 @@ func (st *Store) Create(name string, optionsJSON []byte) (*Log, error) {
 	}
 	st.mu.Lock()
 	// The store may have died while the log was being built; a log
-	// registered now would miss the Close/Kill sweep and leak its
-	// syncer, so take it down the same way the sweep would have.
+	// registered now would miss the Close/Kill sweep and keep its
+	// segment open, so take it down the same way the sweep would have.
 	if st.closed || st.frozen {
 		frozen := st.frozen
 		st.mu.Unlock()
@@ -297,8 +282,8 @@ func (st *Store) Close() error {
 	return first
 }
 
-// Kill hard-stops the store without flushing: syncers die, blocked and
-// future appends fail with ErrKilled, nothing is fsynced. It is the
+// Kill hard-stops the store without flushing: future appends fail with
+// ErrKilled, nothing is fsynced. It is the
 // in-process stand-in for SIGKILL the soak harness's -restart mode
 // uses; data already in the OS page cache survives, exactly as it
 // would a real process kill.

@@ -16,11 +16,13 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
+	"syscall"
 	"testing"
 	"time"
 
 	"midas"
 	"midas/internal/datagen"
+	"midas/internal/obs"
 	"midas/internal/testutil"
 )
 
@@ -600,7 +602,7 @@ func TestDeleteTombstone(t *testing.T) {
 // kill recovers.
 func TestKill(t *testing.T) {
 	dir := t.TempDir()
-	st, err := Open(Options{Dir: dir, Fsync: PolicyBatch, BatchInterval: 1})
+	st, err := Open(Options{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -634,12 +636,12 @@ func TestKill(t *testing.T) {
 
 // TestCreateKillRace: a Create in flight when Kill lands must not leak
 // a live log — either the create loses (ErrClosed) or its log is taken
-// down with the rest. The leaked-syncer regression this pins surfaced
-// as a goroutine leak in the soak harness's restart mode.
+// down with the rest. The regression this pins surfaced as a goroutine
+// leak in the soak harness's restart mode.
 func TestCreateKillRace(t *testing.T) {
 	before := testutil.Goroutines()
 	for round := 0; round < 50; round++ {
-		st, err := Open(Options{Dir: t.TempDir(), Fsync: PolicyBatch, BatchInterval: 1})
+		st, err := Open(Options{Dir: t.TempDir()})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -753,10 +755,10 @@ func (f *shortWriteFile) Write(p []byte) (int, error) {
 // frame.
 func TestShortWriteKillsLog(t *testing.T) {
 	ops := buildScript(t)
-	for _, policy := range []Policy{PolicyNone, PolicyAlways, PolicyBatch} {
+	for _, policy := range []Policy{PolicyNone, PolicyAlways} {
 		t.Run(policy.String(), func(t *testing.T) {
 			dir := t.TempDir()
-			st, err := Open(Options{Dir: dir, Fsync: policy, BatchInterval: 1})
+			st, err := Open(Options{Dir: dir, Fsync: policy})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -789,6 +791,158 @@ func TestShortWriteKillsLog(t *testing.T) {
 				t.Fatalf("recovery lost an acked record: %+v, want fingerprint %016x", rec, acked)
 			}
 		})
+	}
+}
+
+// failSyncFile passes writes through and fails every fsync with EIO.
+type failSyncFile struct{ logFile }
+
+func (failSyncFile) Sync() error { return syscall.EIO }
+
+// TestSyncFailureKillsLog: on the default policy an fsync error fails
+// the append that hit it, leaves the session unchanged and kills the
+// log, so no later append is acked either. Recovery keeps every acked
+// record; the unacked record was written before its fsync failed, so
+// it may replay too (non-2xx means unacknowledged, not absent).
+func TestSyncFailureKillsLog(t *testing.T) {
+	ops := buildScript(t)
+	dir := t.TempDir()
+	st, err := Open(Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	live := midas.NewSession(nil, nil)
+	l, err := st.Create("s1", []byte(`{}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	j := NewJournal(live, l)
+	ops[0].mustCommit(t, j)
+	acked := live.Fingerprint()
+	l.mu.Lock()
+	l.f = failSyncFile{l.f}
+	l.mu.Unlock()
+	if err := ops[1].commit(j); !errors.Is(err, syscall.EIO) {
+		t.Fatalf("failed fsync: %v, want EIO", err)
+	}
+	if live.Fingerprint() != acked {
+		t.Fatal("an append whose fsync failed changed the session")
+	}
+	for _, o := range ops[2:4] {
+		if err := o.commit(j); !errors.Is(err, syscall.EIO) {
+			t.Fatalf("append after a failed fsync: %v, want EIO", err)
+		}
+	}
+	if live.Fingerprint() != acked {
+		t.Fatal("appends on a dead log changed the session")
+	}
+	st.Close()
+	_, rec := recoverDir(t, dir)
+	if len(rec.Sessions) != 1 {
+		t.Fatalf("recovery: %+v", rec)
+	}
+	if got, unacked := rec.Sessions[0].Fingerprint, oracle(ops, 2).Fingerprint(); got != acked && got != unacked {
+		t.Fatalf("recovered fingerprint %016x, want %016x (acked) or %016x (acked + the unacked record)", got, acked, unacked)
+	}
+}
+
+// callLog records the order of a log file's writes and fsyncs.
+type callLog struct {
+	logFile
+	calls []string
+}
+
+func (f *callLog) Write(p []byte) (int, error) {
+	f.calls = append(f.calls, "write")
+	return f.logFile.Write(p)
+}
+
+func (f *callLog) Sync() error {
+	f.calls = append(f.calls, "sync")
+	return f.logFile.Sync()
+}
+
+// TestAckFollowsFsync: on the default policy each acked append wrote its
+// frame and then fsynced it before returning, one fsync per record.
+func TestAckFollowsFsync(t *testing.T) {
+	reg := obs.New()
+	st, err := Open(Options{Dir: t.TempDir(), Registry: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	l, err := st.Create("s1", []byte(`{}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl := &callLog{logFile: l.f}
+	l.mu.Lock()
+	l.f = cl
+	l.mu.Unlock()
+	j := NewJournal(midas.NewSession(nil, nil), l)
+	for i, o := range buildScript(t) {
+		cl.calls = nil
+		o.mustCommit(t, j)
+		if want := []string{"write", "sync"}; !reflect.DeepEqual(cl.calls, want) {
+			t.Fatalf("op %d: file calls %v before the ack, want %v", i, cl.calls, want)
+		}
+	}
+	records, fsyncs := reg.Counter("store/records").Value(), reg.Counter("store/fsyncs").Value()
+	if records == 0 || records != fsyncs {
+		t.Fatalf("store/records %d, store/fsyncs %d: want one fsync per record", records, fsyncs)
+	}
+}
+
+// TestParsePolicy: "" and the alias "batch" select the inline-fsync
+// policy, and unknown names are refused.
+func TestParsePolicy(t *testing.T) {
+	for in, want := range map[string]Policy{"": PolicyAlways, "always": PolicyAlways, "batch": PolicyAlways, "none": PolicyNone} {
+		if got, err := ParsePolicy(in); err != nil || got != want {
+			t.Errorf("ParsePolicy(%q) = %v, %v; want %v", in, got, err, want)
+		}
+	}
+	if _, err := ParsePolicy("sometimes"); err == nil {
+		t.Error("ParsePolicy accepted an unknown policy")
+	}
+	var zero Policy
+	if zero != PolicyAlways {
+		t.Error("the zero Policy is not the inline-fsync policy")
+	}
+}
+
+// TestStrayFilesIgnored: files in a session directory that only look
+// like segments or snapshots are not the store's. Recovery must neither
+// read them (a duplicate segment seq is a false WAL gap; a stray
+// snapshot name points at a file that does not exist) nor delete them.
+func TestStrayFilesIgnored(t *testing.T) {
+	dir := t.TempDir()
+	st, live, _, _, _, _ := driveStore(t, dir)
+	want := live.Fingerprint()
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	sdir := filepath.Join(dir, "sessions", "s1")
+	seg, err := os.ReadFile(filepath.Join(sdir, segmentName(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	strays := []string{"wal-00000001 copy.log", "wal-1x.log", "wal-1.log", "snap-00000009 old.snap", "snap-9.snap"}
+	for _, name := range strays {
+		if err := os.WriteFile(filepath.Join(sdir, name), seg, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, rec := recoverDir(t, dir)
+	if len(rec.Sessions) != 1 || len(rec.Quarantined) != 0 {
+		t.Fatalf("recovery with stray files: %+v", rec)
+	}
+	if got := rec.Sessions[0].Fingerprint; got != want {
+		t.Fatalf("fingerprint %016x, want %016x", got, want)
+	}
+	for _, name := range strays {
+		if _, err := os.Stat(filepath.Join(sdir, name)); err != nil {
+			t.Errorf("stray file %q: %v", name, err)
+		}
 	}
 }
 
