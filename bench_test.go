@@ -324,6 +324,35 @@ func BenchmarkIncrementalDiscover(b *testing.B) {
 	}
 }
 
+// BenchmarkSessionAbsorbAfterIngest measures Absorb as a curation loop
+// meets it: a session primed on the full Slim corpus ingests one fact,
+// then absorbs the top slice of its one discovery. Every iteration
+// after the first re-absorbs facts the KB already holds, so this is
+// the cost of finding the slice's facts, not of growing the KB.
+func BenchmarkSessionAbsorbAfterIngest(b *testing.B) {
+	world := datagen.ReVerbSlim(datagen.DefaultSlimParams(7))
+	facts := worldFacts(world)
+	sess := midas.NewSession(nil, nil)
+	sess.AddFacts(facts...)
+	res := sess.Discover()
+	if len(res.Slices) == 0 {
+		b.Fatal("no slices discovered")
+	}
+	top := res.Slices[0]
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sess.AddFacts(midas.Fact{
+			Subject:    fmt.Sprintf("delta entity %d", i),
+			Predicate:  "kind",
+			Object:     fmt.Sprintf("delta kind %d", i),
+			Confidence: 0.9,
+			URL:        facts[0].URL,
+		})
+		sess.Absorb(top)
+	}
+}
+
 // --- Scaling sweep (EXPERIMENTS.md "scaling") ---
 
 func BenchmarkScalingSweep(b *testing.B) {

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"sync"
 
+	"midas/internal/dict"
 	"midas/internal/fact"
 	"midas/internal/framework"
 	"midas/internal/idset"
@@ -34,22 +35,19 @@ import (
 //	}
 //
 // Session is safe for concurrent use: an RWMutex guards the core, with
-// Discover/DiscoverContext running as readers (so independent
-// discoveries overlap) and the mutators (AddFacts, Absorb) plus the
-// methods that lazily rebuild indexes (Progress) serializing as
+// the readers (Discover/DiscoverContext, Progress, Fingerprint) running
+// concurrently and the mutators (AddFacts, Absorb) serializing as
 // writers. Mutating the KB returned by KB() directly, concurrently with
 // a discovery, is not synchronized — route KB growth through Absorb or
 // quiesce discoveries first.
+//
+// The KB and the corpus always share one interning space, so a corpus
+// fact's interned triple is the KB triple it would become.
 type Session struct {
 	mu     sync.RWMutex
 	kb     *KB
 	corpus *Corpus
 	opts   Options
-
-	// bySubject indexes corpus facts for Absorb; rebuilt lazily after
-	// AddFacts.
-	bySubject map[string][]sessionFact
-	dirty     bool
 
 	// fpMu guards the incremental fingerprint state below. It is
 	// separate from mu so Fingerprint can run under the read lock
@@ -82,11 +80,6 @@ type Session struct {
 	// operators (DirtySources); the framework's per-source fingerprints
 	// are the reuse authority.
 	dirtySrcs map[string]struct{}
-}
-
-type sessionFact struct {
-	f   Fact
-	src string
 }
 
 // NewSession starts a session against an existing KB (nil = build a
@@ -133,7 +126,6 @@ func (s *Session) AddFacts(facts ...Fact) {
 	for _, f := range facts {
 		s.corpus.Add(f)
 	}
-	s.dirty = s.dirty || len(facts) > 0
 	if len(facts) > 0 {
 		s.pmu.Lock()
 		if s.dirtySrcs == nil {
@@ -291,6 +283,10 @@ func (s *Session) DiscoverContext(ctx context.Context) (*Result, error) {
 // to the KB. It returns the number of facts that were new. Subsequent
 // Discover calls no longer count these facts as gain.
 //
+// Absorb keeps no index: it scans the interned corpus once, comparing
+// subject IDs against the slice's entities, and normalizes only the
+// URLs of matching facts. Entities the corpus never saw match nothing.
+//
 // Absorb always advances the KB epoch, but it records the triples it
 // actually added, so the next Discover still reuses the detection
 // results of every source whose fact table contains none of them —
@@ -309,24 +305,31 @@ func (s *Session) Absorb(sl Slice) int {
 		s.deltaBroken = true
 	}
 	s.pmu.Unlock()
-	s.reindex()
-	members := make(map[string]bool, len(sl.Entities))
+	c := s.corpus.c
+	// member is indexed by subject ID: a byte per subject is cheaper to
+	// clear and probe than a map over the slice's few entities.
+	member := make([]bool, c.Space.Subjects.Len())
 	for _, e := range sl.Entities {
-		members[e] = true
+		if id := c.Space.Subjects.Lookup(e); id != dict.None {
+			member[id] = true
+		}
 	}
-	added := 0
+	// inSource memoizes the source test per URL: a slice's facts come
+	// from a handful of pages.
+	inSource := make(map[dict.ID]bool)
 	var addedTriples []kb.Triple
-	space := s.kb.store.Space()
-	for e := range members {
-		for _, sf := range s.bySubject[e] {
-			if sf.src != sl.Source && !strings.HasPrefix(sf.src, sl.Source+"/") {
-				continue
-			}
-			t := space.Intern(sf.f.Subject, sf.f.Predicate, sf.f.Object)
-			if s.kb.store.Add(t) {
-				added++
-				addedTriples = append(addedTriples, t)
-			}
+	for _, e := range c.Facts {
+		if !member[e.Triple.S] {
+			continue
+		}
+		in, seen := inSource[e.URL]
+		if !seen {
+			src := source.Normalize(c.URLs.String(e.URL))
+			in = src == sl.Source || strings.HasPrefix(src, sl.Source+"/")
+			inSource[e.URL] = in
+		}
+		if in && s.kb.store.Add(e.Triple) {
+			addedTriples = append(addedTriples, e.Triple)
 		}
 	}
 	s.pmu.Lock()
@@ -340,63 +343,34 @@ func (s *Session) Absorb(sl Slice) int {
 	s.dirtySrcs[sl.Source] = struct{}{}
 	s.pmu.Unlock()
 	reg.Counter("session/absorbs").Inc()
-	reg.Counter("session/facts_absorbed").Add(int64(added))
+	reg.Counter("session/facts_absorbed").Add(int64(len(addedTriples)))
 	reg.Gauge("session/kb_facts").Set(float64(s.kb.Size()))
-	return added
+	return len(addedTriples)
 }
 
 // Progress reports the augmentation state: KB size and how much of the
 // corpus the KB now covers (deduplicated fact-level coverage).
 func (s *Session) Progress() (kbFacts int, corpusCovered float64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.reindex()
-	type key struct{ s, p, o string }
-	seen := make(map[key]bool)
-	covered, total := 0, 0
-	subjects := make([]string, 0, len(s.bySubject))
-	for subj := range s.bySubject {
-		subjects = append(subjects, subj)
-	}
-	sort.Strings(subjects)
-	for _, subj := range subjects {
-		for _, sf := range s.bySubject[subj] {
-			k := key{sf.f.Subject, sf.f.Predicate, sf.f.Object}
-			if seen[k] {
-				continue
-			}
-			seen[k] = true
-			total++
-			if s.kb.Contains(sf.f.Subject, sf.f.Predicate, sf.f.Object) {
-				covered++
-			}
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	facts := s.corpus.c.Facts
+	seen := make(map[kb.Triple]struct{}, len(facts))
+	covered := 0
+	for _, e := range facts {
+		if _, dup := seen[e.Triple]; dup {
+			continue
+		}
+		seen[e.Triple] = struct{}{}
+		if s.kb.store.Contains(e.Triple) {
+			covered++
 		}
 	}
-	if total > 0 {
-		corpusCovered = float64(covered) / float64(total)
+	if len(seen) > 0 {
+		corpusCovered = float64(covered) / float64(len(seen))
 	}
+	kbFacts = s.kb.Size()
 	reg := s.metrics()
-	reg.Gauge("session/kb_facts").Set(float64(s.kb.Size()))
+	reg.Gauge("session/kb_facts").Set(float64(kbFacts))
 	reg.Gauge("session/corpus_coverage").Set(corpusCovered)
-	return s.kb.Size(), corpusCovered
-}
-
-func (s *Session) reindex() {
-	if !s.dirty && s.bySubject != nil {
-		return
-	}
-	s.bySubject = make(map[string][]sessionFact)
-	for _, e := range s.corpus.c.Facts {
-		subj, pred, obj := s.corpus.c.Space.StringTriple(e.Triple)
-		f := Fact{
-			Subject: subj, Predicate: pred, Object: obj,
-			Confidence: float64(e.Conf),
-			URL:        s.corpus.c.URLs.String(e.URL),
-		}
-		s.bySubject[subj] = append(s.bySubject[subj], sessionFact{
-			f:   f,
-			src: source.Normalize(f.URL),
-		})
-	}
-	s.dirty = false
+	return kbFacts, corpusCovered
 }

@@ -178,7 +178,6 @@ func ReadState(r io.Reader, opts *Options) (*Session, error) {
 		corpus: &Corpus{c: corpus},
 		opts:   opts.orDefault(),
 		factFP: idset.FingerprintSeed,
-		dirty:  true,
 	}, nil
 }
 
